@@ -125,7 +125,7 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
                     engine,
                     ..Alg2Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
         (
@@ -137,7 +137,7 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
                     engine,
                     ..Alg3Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
         (
@@ -149,13 +149,13 @@ fn overlap_roster(delta: f64) -> Vec<PlannerRun> {
                     engine,
                     ..Alg3Config::default()
                 })
-                .plan_with_stats_obs(s, rec)
+                .plan_prepared_obs(s, None, rec)
             }),
         ),
         (
             "Benchmark",
             Box::new(|s: &Scenario, engine, rec: &dyn Recorder| {
-                BenchmarkPlanner.plan_with_stats_obs(s, engine, rec)
+                BenchmarkPlanner.plan_prepared_obs(s, engine, None, rec)
             }),
         ),
     ]
@@ -179,7 +179,7 @@ fn run_sweeps(scale: f64, seeds: &[u64]) -> Vec<Entry> {
                 "Benchmark",
                 seed,
                 &scenario,
-                |s, engine, rec| BenchmarkPlanner.plan_with_stats_obs(s, engine, rec),
+                |s, engine, rec| BenchmarkPlanner.plan_prepared_obs(s, engine, None, rec),
             ));
         }
     }

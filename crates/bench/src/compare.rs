@@ -134,24 +134,15 @@ impl CompareReport {
 const HEADER_EXACT: [&str; 3] = ["schema", "mode", "scale"];
 
 /// Deterministic per-engine counters inside `lazy` / `exhaustive`.
-const ENGINE_COUNTERS: [&str; 5] = [
+const ENGINE_COUNTERS: [&str; 7] = [
     "evaluations",
     "marginal_evals",
     "delta_rescans",
     "fixups",
     "heap_pops",
+    "tour_patches",
+    "full_retours",
 ];
-
-/// Deterministic per-engine counters added by the planner-baseline `/3`
-/// schema (incremental tour maintenance). Compared exactly when both
-/// sides carry them; silently absent when either side predates the
-/// schema bump — the cross-version comparison below stays meaningful on
-/// the shared fields.
-const ENGINE_COUNTERS_V3: [&str; 2] = ["tour_patches", "full_retours"];
-
-/// Planner-baseline schema versions whose shared entry fields are
-/// directly comparable (the `/3` bump only *adds* the tour counters).
-const PLANNER_COMPAT: [&str; 2] = ["uavdc-planner-baseline/2", "uavdc-planner-baseline/3"];
 
 /// Timing fields inside `lazy` / `exhaustive`.
 const ENGINE_TIMINGS: [&str; 2] = ["setup_ns", "loop_ns"];
@@ -320,18 +311,6 @@ pub fn compare(
     for field in HEADER_EXACT {
         let (a, b) = (baseline.get(field), current.get(field));
         if a != b {
-            if field == "schema" {
-                let (av, bv) = (
-                    a.and_then(Json::as_str).unwrap_or(""),
-                    b.and_then(Json::as_str).unwrap_or(""),
-                );
-                // The /2 -> /3 planner-baseline bump is additive-only;
-                // allow the cross-version diff so a schema bump can
-                // prove its counters and hashes unchanged.
-                if PLANNER_COMPAT.contains(&av) && PLANNER_COMPAT.contains(&bv) {
-                    continue;
-                }
-            }
             report.structural.push(format!(
                 "header `{field}` differs: baseline {} vs current {}",
                 render(a),
@@ -481,21 +460,6 @@ pub fn compare(
                     ce.and_then(|e| e.get(counter)),
                 );
             }
-            for counter in ENGINE_COUNTERS_V3 {
-                let (bv, cv) = (
-                    be.and_then(|e| e.get(counter)),
-                    ce.and_then(|e| e.get(counter)),
-                );
-                if bv.is_some() && cv.is_some() {
-                    push_if_diff(
-                        &mut report.rows,
-                        &key,
-                        &format!("{engine}.{counter}"),
-                        bv,
-                        cv,
-                    );
-                }
-            }
             for timing in ENGINE_TIMINGS {
                 compare_timing(
                     &mut report.rows,
@@ -522,8 +486,12 @@ mod tests {
     use crate::json::parse;
 
     fn doc(loop_ns: u64, evals: u64, hash: &str) -> Json {
+        doc_tour(loop_ns, evals, 40, 0, hash)
+    }
+
+    fn doc_tour(loop_ns: u64, evals: u64, patches: u64, retours: u64, hash: &str) -> Json {
         parse(&format!(
-            r#"{{"schema": "uavdc-planner-baseline/2", "mode": "quick", "scale": 0.2,
+            r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
                 "seeds": [39582], "threads": 2,
                 "entries": [
                   {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
@@ -532,9 +500,11 @@ mod tests {
                     "plan_hash": "{hash}",
                     "lazy": {{"evaluations": {evals}, "marginal_evals": 5,
                              "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
+                             "tour_patches": {patches}, "full_retours": {retours},
                              "setup_ns": 1000000, "loop_ns": {loop_ns}}},
                     "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
                              "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
+                             "tour_patches": {patches}, "full_retours": {retours},
                              "setup_ns": 1000000, "loop_ns": 9000000}}}}
                 ]}}"#
         ))
@@ -628,69 +598,31 @@ mod tests {
         assert_eq!(r.paired_entries, 0);
     }
 
-    fn doc_v3(patches: u64, retours: u64, hash: &str) -> Json {
-        parse(&format!(
-            r#"{{"schema": "uavdc-planner-baseline/3", "mode": "quick", "scale": 0.2,
-                "seeds": [39582], "threads": 2,
-                "entries": [
-                  {{"figure": "fig4", "delta_m": 5, "algorithm": "Algorithm 2",
-                    "seed": 39582, "candidates": 100, "iterations": 10,
-                    "exhaustive_bound": 1000, "plans_identical": true,
-                    "plan_hash": "{hash}",
-                    "lazy": {{"evaluations": 120, "marginal_evals": 5,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 30,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": 8000000}},
-                    "exhaustive": {{"evaluations": 1000, "marginal_evals": 0,
-                             "delta_rescans": 0, "fixups": 0, "heap_pops": 0,
-                             "tour_patches": {patches}, "full_retours": {retours},
-                             "setup_ns": 1000000, "loop_ns": 9000000}}}}
-                ]}}"#
-        ))
-        .expect("fixture parses")
-    }
-
     #[test]
-    fn schema_bump_with_shared_fields_unchanged_is_clean() {
-        // A /2 baseline vs a /3 current: the added tour counters exist on
-        // one side only, so only the shared fields gate — exit clean when
-        // hashes and the v2 counters are frozen.
-        let v2 = doc(8_000_000, 120, "aa");
-        let v3 = doc_v3(40, 0, "aa");
-        let r = compare(&v2, &v3, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence(), "{:?}", r);
-        assert_eq!(r.paired_entries, 1);
-        // And in the downgrade direction.
-        let r = compare(&v3, &v2, &CompareConfig::default()).expect("walkable");
-        assert!(!r.has_divergence());
-    }
-
-    #[test]
-    fn tour_counter_drift_diverges_when_both_sides_have_them() {
-        let a = doc_v3(40, 0, "aa");
-        let b = doc_v3(41, 0, "aa");
+    fn tour_counter_drift_diverges() {
+        let a = doc(8_000_000, 120, "aa");
+        let b = doc_tour(8_000_000, 120, 41, 0, "aa");
         let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.rows.iter().any(|row| row.field == "lazy.tour_patches"));
-        let c = doc_v3(40, 2, "aa");
+        let c = doc_tour(8_000_000, 120, 40, 2, "aa");
         let r = compare(&a, &c, &CompareConfig::default()).expect("walkable");
         assert!(r.has_divergence());
         assert!(r.rows.iter().any(|row| row.field == "lazy.full_retours"));
     }
 
     #[test]
-    fn unrelated_schema_mismatch_is_still_structural() {
+    fn schema_mismatch_is_structural() {
         let a = doc(8_000_000, 120, "aa");
-        let mut b = doc(8_000_000, 120, "aa");
-        if let Json::Obj(map) = &mut b {
-            map.insert(
-                "schema".to_string(),
-                Json::Str("uavdc-service-baseline/1".to_string()),
-            );
+        for other in ["uavdc-service-baseline/1", "uavdc-planner-baseline/2"] {
+            let mut b = doc(8_000_000, 120, "aa");
+            if let Json::Obj(map) = &mut b {
+                map.insert("schema".to_string(), Json::Str(other.to_string()));
+            }
+            let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
+            assert!(r.has_divergence());
+            assert!(r.structural.iter().any(|s| s.contains("schema")));
         }
-        let r = compare(&a, &b, &CompareConfig::default()).expect("walkable");
-        assert!(r.has_divergence());
-        assert!(r.structural.iter().any(|s| s.contains("schema")));
     }
 
     fn robustness_doc(trace_fp: &str, drops: u64) -> Json {

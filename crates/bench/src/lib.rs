@@ -62,7 +62,7 @@ impl Default for HarnessConfig {
 }
 
 impl HarnessConfig {
-    /// A configuration small enough for CI and Criterion.
+    /// A configuration small enough for CI.
     pub fn quick() -> Self {
         HarnessConfig {
             num_instances: 3,
@@ -186,22 +186,16 @@ fn average_point(
     let n = cfg.num_instances.max(1);
     let mut results = vec![(0.0, 0.0, 0.0, 0.0); n];
     if cfg.parallel_instances && n > 1 {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        let _ = threads;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (i, slot) in results.iter_mut().enumerate() {
                 let seed = cfg.base_seed + i as u64;
                 let check = cfg.simulate_check;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let scenario = make_scenario(seed);
                     *slot = run_once(spec, &scenario, check);
                 });
             }
-        })
-        // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
-        .expect("instance thread panicked");
+        });
     } else {
         for (i, slot) in results.iter_mut().enumerate() {
             let scenario = make_scenario(cfg.base_seed + i as u64);

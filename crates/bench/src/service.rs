@@ -227,17 +227,15 @@ fn run_one(
             engine: req.engine,
             ..Alg2Config::default()
         })
-        .plan_prepared_obs(&scenario, cand, &uavdc_obs::NOOP),
+        .plan_prepared(&scenario, cand),
         ServiceAlgorithm::Alg3 { delta, k } => Alg3Planner::new(Alg3Config {
             delta,
             k,
             engine: req.engine,
             ..Alg3Config::default()
         })
-        .plan_prepared_obs(&scenario, cand, &uavdc_obs::NOOP),
-        ServiceAlgorithm::Benchmark => {
-            BenchmarkPlanner.plan_prepared_obs(&scenario, req.engine, bench, &uavdc_obs::NOOP)
-        }
+        .plan_prepared(&scenario, cand),
+        ServiceAlgorithm::Benchmark => BenchmarkPlanner.plan_prepared(&scenario, req.engine, bench),
     };
     RequestOutcome {
         plan_hash: plan.fingerprint(),

@@ -22,12 +22,12 @@
 //! * [`TourMode::PaperChristofides`] recomputes a full Christofides tour
 //!   for every candidate evaluation, exactly as Algorithm 2 is written.
 //!   `O(M · n³)` per iteration — use only on small instances (the
-//!   ablation bench quantifies what FastInsertion gives up). By default
+//!   `alg2-paper` layer of `planbench` measures it). By default
 //!   the rebuilds run through an incremental tour's cached distances and
 //!   odd-vertex matching memo ([`Alg2Config::speculative_cache`]), which
 //!   changes nothing about the produced plans — only their cost.
 //!
-//! Candidate evaluation parallelises over crossbeam scoped threads when
+//! Candidate evaluation parallelises over `std::thread::scope` threads when
 //! the candidate set is large. The lazy engine additionally leans on the
 //! batch kernels of `uavdc_graph::incremental` (bit-identical per lane to
 //! the scalar scans they replace) and on an [`IncrementalTour`] mirror of
@@ -46,7 +46,6 @@ use crate::Planner;
 use uavdc_geom::Point2;
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-    RetourPolicy,
 };
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
@@ -438,10 +437,7 @@ fn run_paper(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    let mut inc = IncrementalTour::new(
-        (scenario.depot.x, scenario.depot.y),
-        RetourPolicy::PatchOnly,
-    );
+    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
     loop {
         counters.iterations += 1;
         counters.marginal_evals += m as u64;
@@ -709,10 +705,7 @@ fn run_lazy(
     let mut ins = InsertionCache::new(m);
     let mut heap = LazyHeap::new(m);
     heap.enable_purge();
-    let mut inc = IncrementalTour::new(
-        (scenario.depot.x, scenario.depot.y),
-        RetourPolicy::PatchOnly,
-    );
+    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
 
     // The engine's one ratio formula — must stay bit-identical to
     // `evaluate_insertion` (same ops in the same order on the same
@@ -992,20 +985,7 @@ impl Alg2Planner {
     /// Plans and returns the work/timing breakdown alongside the plan
     /// (consumed by the `planner_baseline` perf harness).
     pub fn plan_with_stats(&self, scenario: &Scenario) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](Alg2Planner::plan_with_stats), reporting
-    /// spans (`alg2/setup`, `alg2/loop`), end-of-run counters, and
-    /// per-iteration histograms to `rec`. With the no-op recorder this
-    /// is the same computation producing bit-identical plans
-    /// (property-tested in `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, None, rec)
+        self.plan_prepared(scenario, None)
     }
 
     /// Recorder-free twin of
@@ -1018,9 +998,14 @@ impl Alg2Planner {
         self.plan_prepared_obs(scenario, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](Alg2Planner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt candidate set instead of rebuilding
-    /// it. `prepared` must be exactly what the cold path would build —
+    /// Like [`plan_with_stats`](Alg2Planner::plan_with_stats), reporting
+    /// spans (`alg2/setup`, `alg2/loop`), end-of-run counters, and
+    /// per-iteration histograms to `rec` (with the no-op recorder this is
+    /// the same computation producing bit-identical plans, property-tested
+    /// in `tests/obs_noop_equivalence.rs`), and optionally reusing a
+    /// prebuilt candidate set instead of rebuilding it.
+    ///
+    /// `prepared` must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
     /// `prune_dominated()` when `config.prune_dominated` is set — which is
     /// what `uavdc-bench`'s artifact cache guarantees by keying on the

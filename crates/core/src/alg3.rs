@@ -593,20 +593,7 @@ impl Alg3Planner {
     /// Plans and returns the work/timing breakdown alongside the plan
     /// (consumed by the `planner_baseline` perf harness).
     pub fn plan_with_stats(&self, scenario: &Scenario) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](Alg3Planner::plan_with_stats), reporting
-    /// spans (`alg3/setup`, `alg3/loop`), end-of-run counters, and
-    /// per-iteration histograms to `rec`. With the no-op recorder this
-    /// is the same computation producing bit-identical plans
-    /// (property-tested in `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, None, rec)
+        self.plan_prepared(scenario, None)
     }
 
     /// Recorder-free twin of
@@ -619,9 +606,14 @@ impl Alg3Planner {
         self.plan_prepared_obs(scenario, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](Alg3Planner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt candidate set instead of rebuilding
-    /// it. `prepared` must be exactly what the cold path would build —
+    /// Like [`plan_with_stats`](Alg3Planner::plan_with_stats), reporting
+    /// spans (`alg3/setup`, `alg3/loop`), end-of-run counters, and
+    /// per-iteration histograms to `rec` (with the no-op recorder this is
+    /// the same computation producing bit-identical plans, property-tested
+    /// in `tests/obs_noop_equivalence.rs`), and optionally reusing a
+    /// prebuilt candidate set instead of rebuilding it.
+    ///
+    /// `prepared` must be exactly what the cold path would build —
     /// `CandidateSet::build(scenario, config.delta)` followed by
     /// `prune_dominated()` when `config.prune_dominated` is set (the
     /// keying contract of `uavdc-bench`'s artifact cache). Cold and

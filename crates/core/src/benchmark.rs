@@ -341,22 +341,7 @@ impl BenchmarkPlanner {
         scenario: &Scenario,
         engine: EngineMode,
     ) -> (CollectionPlan, PlanStats) {
-        self.plan_with_stats_obs(scenario, engine, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`plan_with_stats`](BenchmarkPlanner::plan_with_stats),
-    /// reporting spans (`bench/setup` covering the initial Christofides
-    /// tour, `bench/prune`), end-of-run counters, and per-iteration
-    /// histograms to `rec`. With the no-op recorder this is the same
-    /// computation producing bit-identical plans (property-tested in
-    /// `tests/obs_noop_equivalence.rs`).
-    pub fn plan_with_stats_obs(
-        &self,
-        scenario: &Scenario,
-        engine: EngineMode,
-        rec: &dyn Recorder,
-    ) -> (CollectionPlan, PlanStats) {
-        self.plan_prepared_obs(scenario, engine, None, rec)
+        self.plan_prepared(scenario, engine, None)
     }
 
     /// Recorder-free twin of
@@ -370,9 +355,15 @@ impl BenchmarkPlanner {
         self.plan_prepared_obs(scenario, engine, prepared, &uavdc_obs::NOOP)
     }
 
-    /// Like [`plan_with_stats_obs`](BenchmarkPlanner::plan_with_stats_obs),
-    /// optionally reusing a prebuilt [`BenchmarkSetup`] instead of
-    /// rebuilding it. `prepared` must be exactly what
+    /// Like [`plan_with_stats`](BenchmarkPlanner::plan_with_stats),
+    /// reporting spans (`bench/setup` covering the initial Christofides
+    /// tour, `bench/prune`), end-of-run counters, and per-iteration
+    /// histograms to `rec` (with the no-op recorder this is the same
+    /// computation producing bit-identical plans, property-tested in
+    /// `tests/obs_noop_equivalence.rs`), and optionally reusing a prebuilt
+    /// [`BenchmarkSetup`] instead of rebuilding it.
+    ///
+    /// `prepared` must be exactly what
     /// [`BenchmarkSetup::build_obs`] would produce for this scenario (the
     /// keying contract of `uavdc-bench`'s artifact cache). The pruning
     /// loop runs on a clone of the artifact either way, so cold and

@@ -27,8 +27,8 @@
 //!   parks candidates that cannot fit until slack reappears, and resolves
 //!   near-ties with the same `1e-15` band + lowest-candidate-index fold
 //!   the exhaustive serial scan uses.
-//! * [`chunked_argmax`] / [`chunked_for_each`] — the one shared
-//!   implementation of the crossbeam chunked-thread scan that
+//! * [`chunked_argmax`] / [`chunked_map`] — the one shared
+//!   implementation of the scoped-thread chunked scan that
 //!   `alg2::best_evaluation` and `alg3::best_virtual` used to duplicate,
 //!   now also pointed at dirty *batches* instead of the full range. Thread
 //!   count is configurable through `UAVDC_THREADS` for reproducible
@@ -143,13 +143,13 @@ where
     let chunk = n.div_ceil(threads);
     let mut results: Vec<Option<E>> = Vec::new();
     results.resize_with(threads, || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, slot) in results.iter_mut().enumerate() {
             let lo = (t * chunk).min(n);
             let hi = ((t + 1) * chunk).min(n);
             let eval = &eval;
             let better = &better;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut best: Option<E> = None;
                 for c in lo..hi {
                     if let Some(e) = eval(c) {
@@ -161,9 +161,7 @@ where
                 *slot = best;
             });
         }
-    })
-    // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
-    .expect("candidate evaluation thread panicked");
+    });
     results
         .into_iter()
         .flatten()
@@ -212,18 +210,16 @@ where
     let chunk = n.div_ceil(threads);
     let mut results: Vec<Vec<R>> = Vec::new();
     results.resize_with(threads, Vec::new);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (t, slot) in results.iter_mut().enumerate() {
             let lo = (t * chunk).min(n);
             let hi = ((t + 1) * chunk).min(n);
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 *slot = batch[lo..hi].iter().map(f).collect();
             });
         }
-    })
-    // lint:allow(panic-site): Err only when a worker thread panicked; re-raising is correct
-    .expect("candidate evaluation thread panicked");
+    });
     results.into_iter().flatten().collect()
 }
 
@@ -1016,6 +1012,32 @@ mod tests {
         let serial = chunked_map(&batch, usize::MAX, |&x| x * 3);
         let parallel = chunked_map(&batch, 1, |&x| x * 3);
         assert_eq!(serial, parallel);
+    }
+
+    // A worker panic is not swallowed: `std::thread::scope` joins every
+    // worker and then re-raises in the caller.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn chunked_map_with_propagates_worker_panic() {
+        let batch: Vec<u32> = (0..64).collect();
+        chunked_map_with(&batch, 4, |&x| {
+            assert_ne!(x, 50, "worker failure");
+            x
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn chunked_argmax_with_propagates_worker_panic() {
+        chunked_argmax_with(
+            64,
+            4,
+            |c| {
+                assert_ne!(c, 50, "worker failure");
+                Some(c)
+            },
+            |a, b| a > b,
+        );
     }
 
     #[test]

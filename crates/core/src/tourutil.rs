@@ -6,7 +6,7 @@
 //! improvement moves.
 
 use uavdc_geom::Point2;
-use uavdc_graph::christofides::{christofides_with_obs, ChristofidesConfig};
+use uavdc_graph::christofides::christofides_obs;
 use uavdc_graph::DistMatrix;
 
 /// Length of the closed tour through `pts` (first point is the depot),
@@ -105,7 +105,7 @@ pub fn christofides_order_obs(pts: &[Point2], rec: &dyn uavdc_obs::Recorder) -> 
         return (0..n).collect();
     }
     let m = DistMatrix::from_fn(n, |i, j| pts[i].distance(pts[j]));
-    let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), rec);
+    let mut tour = christofides_obs(&m, rec);
     tour.rotate_to_start(0);
     tour.order().to_vec()
 }

@@ -73,7 +73,7 @@ proptest! {
         let rec = assert_recorder_invisible(
             "alg2",
             || planner.plan_with_stats(&s),
-            |r| planner.plan_with_stats_obs(&s, r),
+            |r| planner.plan_prepared_obs(&s, None, r),
         );
         // The collecting run must actually have recorded the loop.
         let report = rec.report();
@@ -97,7 +97,7 @@ proptest! {
         let rec = assert_recorder_invisible(
             "alg3",
             || planner.plan_with_stats(&s),
-            |r| planner.plan_with_stats_obs(&s, r),
+            |r| planner.plan_prepared_obs(&s, None, r),
         );
         prop_assert!(rec.report().counters.iter().any(|c| c.name == "alg3.iterations"));
     }
@@ -113,7 +113,7 @@ proptest! {
         let rec = assert_recorder_invisible(
             "benchmark",
             || BenchmarkPlanner.plan_with_stats(&s, engine),
-            |r| BenchmarkPlanner.plan_with_stats_obs(&s, engine, r),
+            |r| BenchmarkPlanner.plan_prepared_obs(&s, engine, None, r),
         );
         prop_assert!(rec.report().counters.iter().any(|c| c.name == "bench.iterations"));
     }
@@ -131,7 +131,7 @@ fn collected_report_is_deterministic() {
     });
     let run = || {
         let rec = CollectingRecorder::with_clock(Box::new(uavdc_obs::ManualClock::new()));
-        let _ = planner.plan_with_stats_obs(&s, &rec);
+        let _ = planner.plan_prepared_obs(&s, None, &rec);
         rec.report().to_json()
     };
     assert_eq!(run(), run());

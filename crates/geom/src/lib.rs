@@ -34,7 +34,6 @@ mod aabb;
 mod disc;
 mod grid;
 mod hull;
-mod kdtree;
 mod order;
 mod point;
 mod polyline;
@@ -44,7 +43,6 @@ pub use aabb::Aabb;
 pub use disc::{disc_disc_overlap_area, Disc};
 pub use grid::{CellId, GridSpec};
 pub use hull::{convex_hull, polygon_area};
-pub use kdtree::KdTree;
 pub use order::{cmp_f64, cmp_f64_desc, TotalF64};
 pub use point::{Point2, Point3};
 pub use polyline::{distance_matrix, path_length, tour_length};

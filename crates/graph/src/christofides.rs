@@ -3,69 +3,30 @@
 //! The paper's Algorithm 2, Algorithm 3 and benchmark heuristic all invoke
 //! `TSP(S)` — a Christofides tour over the current hovering-location set —
 //! inside their selection loops, so this implementation is a planner hot
-//! path. The matching step dominates; use [`ChristofidesConfig::fast`] to
-//! trade the optimal blossom matching for the greedy one when exactness of
-//! the matching is not required (ablation benches quantify the gap).
+//! path. It uses the exact matching ([`min_weight_perfect_matching`]) and
+//! polishes the shortcut tour with 2-opt.
 
 use crate::euler::{euler_circuit, shortcut_circuit};
 use crate::improve::two_opt;
-use crate::matching::{min_weight_perfect_matching_with, MatchingBackend};
+use crate::matching::min_weight_perfect_matching;
 use crate::mst::{odd_degree_vertices, prim_mst};
 use crate::{DistMatrix, Tour};
 
-/// Tuning knobs for [`christofides_with`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChristofidesConfig {
-    /// Matching backend for the odd-degree vertices.
-    pub matching: MatchingBackend,
-    /// Run 2-opt on the shortcut tour. Cheap relative to matching and
-    /// usually shaves a few percent.
-    pub polish: bool,
-}
-
-impl Default for ChristofidesConfig {
-    fn default() -> Self {
-        ChristofidesConfig {
-            matching: MatchingBackend::Auto,
-            polish: true,
-        }
-    }
-}
-
-impl ChristofidesConfig {
-    /// Greedy matching, no polish: the fast approximate mode.
-    pub fn fast() -> Self {
-        ChristofidesConfig {
-            matching: MatchingBackend::Greedy,
-            polish: false,
-        }
-    }
-}
-
-/// Christofides tour over all vertices of `m` with default configuration.
+/// Christofides tour over all vertices of `m`, 2-opt polished.
 ///
-/// For a metric `m` (triangle inequality) the result without polishing is
+/// For a metric `m` (triangle inequality) the unpolished construction is
 /// within 1.5x of the optimal tour; 2-opt polishing only improves it.
 pub fn christofides(m: &DistMatrix) -> Tour {
-    christofides_with(m, &ChristofidesConfig::default())
+    christofides_obs(m, &uavdc_obs::NOOP)
 }
 
-/// Christofides tour with explicit configuration.
-pub fn christofides_with(m: &DistMatrix, cfg: &ChristofidesConfig) -> Tour {
-    christofides_with_obs(m, cfg, &uavdc_obs::NOOP)
-}
-
-/// Like [`christofides_with`], reporting per-call size statistics to
-/// `rec`: a `christofides.calls` counter plus `christofides.n` and
+/// Like [`christofides`], reporting per-call size statistics to `rec`:
+/// a `christofides.calls` counter plus `christofides.n` and
 /// `christofides.odd_vertices` histograms. This function sits inside the
 /// planners' selection loops and runs thousands of times per plan, so it
 /// deliberately emits no spans — the callers wrap their loops in one span
 /// and read the aggregate histograms instead.
-pub fn christofides_with_obs(
-    m: &DistMatrix,
-    cfg: &ChristofidesConfig,
-    rec: &dyn uavdc_obs::Recorder,
-) -> Tour {
+pub fn christofides_obs(m: &DistMatrix, rec: &dyn uavdc_obs::Recorder) -> Tour {
     let n = m.len();
     rec.add("christofides.calls", 1);
     rec.observe("christofides.n", n as u64);
@@ -87,7 +48,7 @@ pub fn christofides_with_obs(
     rec.observe("christofides.odd_vertices", odd.len() as u64);
     if !odd.is_empty() {
         let sub = m.submatrix(&odd);
-        let matching = min_weight_perfect_matching_with(&sub, cfg.matching);
+        let matching = min_weight_perfect_matching(&sub);
         for (a, b) in matching.edges() {
             edges.push((odd[a], odd[b]));
         }
@@ -101,9 +62,7 @@ pub fn christofides_with_obs(
     let order = shortcut_circuit(&circuit);
     debug_assert_eq!(order.len(), n, "shortcut must visit every vertex once");
     let mut tour = Tour::new(order);
-    if cfg.polish {
-        two_opt(&mut tour, m);
-    }
+    two_opt(&mut tour, m);
     tour
 }
 
@@ -142,6 +101,17 @@ mod tests {
         assert_eq!(order, (0..25).collect::<Vec<_>>());
     }
 
+    /// The unpolished construction, assembled from the public steps:
+    /// MST, odd-degree matching, Euler circuit, shortcut.
+    fn unpolished(m: &DistMatrix) -> Tour {
+        let mut edges = prim_mst(m).edges;
+        let odd = odd_degree_vertices(m.len(), &edges);
+        let matching = min_weight_perfect_matching(&m.submatrix(&odd));
+        edges.extend(matching.edges().into_iter().map(|(a, b)| (odd[a], odd[b])));
+        let circuit = euler_circuit(m.len(), &edges, 0).expect("connected, even degrees");
+        Tour::new(shortcut_circuit(&circuit))
+    }
+
     #[test]
     fn within_guarantee_vs_exact_small() {
         let pts = [
@@ -155,11 +125,7 @@ mod tests {
         ];
         let m = DistMatrix::from_euclidean(&pts);
         let opt = held_karp(&m).expect("small instance");
-        let cfg = ChristofidesConfig {
-            matching: MatchingBackend::Auto,
-            polish: false,
-        };
-        let t = christofides_with(&m, &cfg);
+        let t = unpolished(&m);
         assert!(
             t.length(&m) <= 1.5 * opt.length(&m) + 1e-9,
             "christofides {} vs opt {}",
@@ -174,28 +140,9 @@ mod tests {
             .map(|i| ((i * 53 % 97) as f64, (i * 71 % 89) as f64))
             .collect();
         let m = DistMatrix::from_euclidean(&pts);
-        let raw = christofides_with(
-            &m,
-            &ChristofidesConfig {
-                matching: MatchingBackend::Auto,
-                polish: false,
-            },
-        );
+        let raw = unpolished(&m);
         let polished = christofides(&m);
         assert!(polished.length(&m) <= raw.length(&m) + 1e-9);
-    }
-
-    #[test]
-    fn fast_mode_still_valid_tour() {
-        let pts: Vec<(f64, f64)> = (0..30)
-            .map(|i| ((i * 41 % 100) as f64, (i * 67 % 100) as f64))
-            .collect();
-        let m = DistMatrix::from_euclidean(&pts);
-        let t = christofides_with(&m, &ChristofidesConfig::fast());
-        assert_eq!(t.len(), 30);
-        let mut order = t.order().to_vec();
-        order.sort_unstable();
-        assert_eq!(order, (0..30).collect::<Vec<_>>());
     }
 
     proptest! {
@@ -206,8 +153,7 @@ mod tests {
         ) {
             let m = DistMatrix::from_euclidean(&pts);
             let opt = held_karp(&m).unwrap().length(&m);
-            let cfg = ChristofidesConfig { matching: MatchingBackend::ExactDp, polish: false };
-            let t = christofides_with(&m, &cfg);
+            let t = unpolished(&m);
             prop_assert!(t.length(&m) <= 1.5 * opt + 1e-6,
                 "christofides {} vs opt {}", t.length(&m), opt);
         }

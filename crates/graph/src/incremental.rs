@@ -27,10 +27,9 @@
 //!   Speculative scoring ([`IncrementalTour::speculative_order`]) rebuilds
 //!   with one extra phantom stop — Algorithm 2's per-candidate `TSP(S ∪
 //!   {s})` — sharing the same matrix cache and matching memo.
-//! * **Re-tour policy** — [`RetourPolicy`] optionally schedules a full
-//!   rebuild every K patches; [`RetourPolicy::PatchOnly`] leaves compaction
-//!   entirely to the caller (Algorithm 2's fast-insertion mode, whose
-//!   committed plans are hash-frozen, uses this).
+//!
+//! The tour never rebuilds on its own: the caller compacts or calls
+//! [`IncrementalTour::retour`] when it wants to.
 //!
 //! Because rebuilds read only cached (≡ recomputed) distances and run the
 //! deterministic pipeline, a patched-then-rebuilt tour is bit-identical —
@@ -38,18 +37,19 @@
 //! same stop set. `tests/incremental_props.rs` drives randomized
 //! insert/remove sequences through both paths and asserts exactly that.
 //!
-//! The module also hosts the two branch-predictable batch kernels the lazy
+//! The module also hosts the branch-predictable batch kernels the lazy
 //! engine of `uavdc-core::alg2` uses to make its (operation-count-frozen)
-//! rescans cheap: [`distances_to_point`] and [`InsertionKernel`]. Both are
-//! specified — and property-tested — to be bit-identical per lane to their
-//! scalar `Point2` counterparts.
+//! rescans cheap: [`distances_to_point`], [`cheapest_insertion_cached`]
+//! and [`cheapest_insertion_cached4`]. All are specified — and
+//! property-tested — to be bit-identical per lane to their scalar
+//! `Point2` counterparts.
 
 use std::collections::BTreeMap;
 
-use crate::christofides::{christofides_with_obs, ChristofidesConfig};
+use crate::christofides::christofides_obs;
 use crate::euler::{euler_circuit, shortcut_circuit};
 use crate::improve::{or_opt, two_opt};
-use crate::matching::min_weight_perfect_matching_with;
+use crate::matching::min_weight_perfect_matching;
 use crate::mst::{odd_degree_vertices, prim_mst};
 use crate::{DistMatrix, Tour};
 use uavdc_obs::Recorder;
@@ -63,20 +63,6 @@ pub struct TourCounters {
     /// Full Christofides rebuilds, including speculative scoring runs and
     /// trivial `n <= 3` identity rebuilds.
     pub full_retours: u64,
-}
-
-/// When [`IncrementalTour`] schedules a full Christofides rebuild on its
-/// own. Only [`IncrementalTour::insert`], [`IncrementalTour::insert_id_at`]
-/// and [`IncrementalTour::remove`] consult the policy; the local-search
-/// patches never trigger a rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum RetourPolicy {
-    /// Never rebuild automatically; the caller compacts (or calls
-    /// [`IncrementalTour::retour`]) when it wants to.
-    #[default]
-    PatchOnly,
-    /// Rebuild after every `K > 0` patches.
-    EveryKPatches(u32),
 }
 
 /// A closed tour over appendable stops with cached distances, patch-based
@@ -99,20 +85,14 @@ pub struct IncrementalTour {
     /// `edge_len[k]` = distance between `order[k]` and
     /// `order[(k+1) % len]`; empty while the tour has fewer than 2 stops.
     edge_len: Vec<f64>,
-    policy: RetourPolicy,
-    patches_since_retour: u32,
     counters: TourCounters,
-    config: ChristofidesConfig,
     /// Odd stop-id list → perfect-matching pairs (odd-list index space).
     matching_memo: BTreeMap<Vec<usize>, Vec<(usize, usize)>>,
 }
 
 impl IncrementalTour {
     /// A depot-only tour. The depot becomes stop id 0.
-    pub fn new(depot: (f64, f64), policy: RetourPolicy) -> Self {
-        if let RetourPolicy::EveryKPatches(k) = policy {
-            assert!(k > 0, "EveryKPatches period must be positive");
-        }
+    pub fn new(depot: (f64, f64)) -> Self {
         IncrementalTour {
             xs: vec![depot.0],
             ys: vec![depot.1],
@@ -120,10 +100,7 @@ impl IncrementalTour {
             dist: Vec::new(),
             order: vec![0],
             edge_len: Vec::new(),
-            policy,
-            patches_since_retour: 0,
             counters: TourCounters::default(),
-            config: ChristofidesConfig::default(),
             matching_memo: BTreeMap::new(),
         }
     }
@@ -162,11 +139,6 @@ impl IncrementalTour {
     /// Maintenance-work counters accumulated so far.
     pub fn counters(&self) -> TourCounters {
         self.counters
-    }
-
-    /// Patches applied since the last full rebuild.
-    pub fn patches_since_retour(&self) -> u32 {
-        self.patches_since_retour
     }
 
     /// Cached distance between stops `i` and `j` (0 when `i == j`).
@@ -233,9 +205,8 @@ impl IncrementalTour {
 
     /// Splices appended stop `id` into the tour at position `pos`
     /// (`1 <= pos <= len()`), patching the two affected edges from the
-    /// cache. Counts one patch; returns the re-tour permutation when the
-    /// policy triggered a rebuild (see [`IncrementalTour::retour`]).
-    pub fn insert_id_at(&mut self, id: usize, pos: usize) -> Option<Vec<usize>> {
+    /// cache. Counts one patch.
+    pub fn insert_id_at(&mut self, id: usize, pos: usize) {
         assert!(!self.in_tour[id], "stop {id} is already in the tour");
         let n = self.order.len();
         assert!(
@@ -253,24 +224,22 @@ impl IncrementalTour {
             self.edge_len
                 .insert(pos, self.cost(id, self.order[(pos + 1) % m]));
         }
-        self.record_patch()
+        self.counters.tour_patches += 1;
     }
 
     /// Appends `p` and splices it at its cheapest-insertion position.
-    /// Returns the new stop id and, when the policy triggered a rebuild,
-    /// the re-tour permutation.
-    pub fn insert(&mut self, p: (f64, f64)) -> (usize, Option<Vec<usize>>) {
+    /// Returns the new stop id.
+    pub fn insert(&mut self, p: (f64, f64)) -> usize {
         let id = self.append_point(p);
         let (_, pos) = self.cheapest_insertion_of(id);
-        let perm = self.insert_id_at(id, pos);
-        (id, perm)
+        self.insert_id_at(id, pos);
+        id
     }
 
     /// Removes stop `id` (never the depot) from the tour, patching the
     /// surrounding edges from the cache. The id and its distance row stay
-    /// allocated, so the stop can be re-inserted later. Counts one patch;
-    /// returns the re-tour permutation when the policy triggered one.
-    pub fn remove(&mut self, id: usize) -> Option<Vec<usize>> {
+    /// allocated, so the stop can be re-inserted later. Counts one patch.
+    pub fn remove(&mut self, id: usize) {
         assert!(id != 0, "the depot cannot be removed");
         assert!(self.in_tour[id], "stop {id} is not in the tour");
         // The depot occupies position 0, so `id` sits at some pos >= 1.
@@ -284,7 +253,7 @@ impl IncrementalTour {
             self.edge_len.remove(pos);
             self.edge_len[pos - 1] = self.cost(self.order[pos - 1], self.order[pos % n]);
         }
-        self.record_patch()
+        self.counters.tour_patches += 1;
     }
 
     /// 2-opt compaction over the cached matrix: same sweep schedule,
@@ -328,7 +297,6 @@ impl IncrementalTour {
         }
         self.rebuild_edges();
         self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
         Some(perm)
     }
 
@@ -351,7 +319,6 @@ impl IncrementalTour {
         self.order = perm.iter().map(|&k| self.order[k]).collect();
         self.rebuild_edges();
         self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
         Some(perm)
     }
 
@@ -370,14 +337,13 @@ impl IncrementalTour {
     /// statistics (`christofides.*`) to `rec`.
     pub fn retour_obs(&mut self, rec: &dyn Recorder) -> Vec<usize> {
         self.counters.full_retours += 1;
-        self.patches_since_retour = 0;
         let n = self.order.len();
         if n <= 3 {
             return (0..n).collect();
         }
         let m = DistMatrix::from_fn(n, |i, j| self.cost(self.order[i], self.order[j]));
         let ids: Vec<Option<usize>> = self.order.iter().map(|&id| Some(id)).collect();
-        let perm = christofides_order_cached(&m, &ids, &mut self.matching_memo, &self.config, rec);
+        let perm = christofides_order_cached(&m, &ids, &mut self.matching_memo, rec);
         self.order = perm.iter().map(|&k| self.order[k]).collect();
         self.rebuild_edges();
         perm
@@ -422,7 +388,7 @@ impl IncrementalTour {
         });
         let mut ids: Vec<Option<usize>> = self.order.iter().map(|&id| Some(id)).collect();
         ids.push(None); // the phantom stop is never memo-keyed
-        christofides_order_cached(&m, &ids, &mut self.matching_memo, &self.config, rec)
+        christofides_order_cached(&m, &ids, &mut self.matching_memo, rec)
     }
 
     /// Applies a position permutation produced by an external re-tour
@@ -452,22 +418,6 @@ impl IncrementalTour {
                 .push(self.cost(self.order[k], self.order[(k + 1) % n]));
         }
     }
-
-    /// Counts a patch and runs the policy; `Some(perm)` when it rebuilt.
-    fn record_patch(&mut self) -> Option<Vec<usize>> {
-        self.counters.tour_patches += 1;
-        self.patches_since_retour = self.patches_since_retour.saturating_add(1);
-        match self.policy {
-            RetourPolicy::PatchOnly => None,
-            RetourPolicy::EveryKPatches(k) => {
-                if self.patches_since_retour >= k {
-                    Some(self.retour())
-                } else {
-                    None
-                }
-            }
-        }
-    }
 }
 
 /// Christofides order (depot-rotated position permutation) over `m`,
@@ -477,7 +427,6 @@ fn christofides_order_cached(
     m: &DistMatrix,
     ids: &[Option<usize>],
     memo: &mut BTreeMap<Vec<usize>, Vec<(usize, usize)>>,
-    cfg: &ChristofidesConfig,
     rec: &dyn Recorder,
 ) -> Vec<usize> {
     let n = m.len();
@@ -496,7 +445,7 @@ fn christofides_order_cached(
             Some(pairs) => pairs,
             None => {
                 let sub = m.submatrix(&odd);
-                let matching = min_weight_perfect_matching_with(&sub, cfg.matching);
+                let matching = min_weight_perfect_matching(&sub);
                 let pairs = matching.edges();
                 if let Some(k) = key {
                     memo.insert(k, pairs.clone());
@@ -513,16 +462,14 @@ fn christofides_order_cached(
         // so an Euler circuit exists. Route through the reference
         // implementation rather than panicking so this module needs no
         // panic sites.
-        let mut tour = christofides_with_obs(m, cfg, rec);
+        let mut tour = christofides_obs(m, rec);
         tour.rotate_to_start(0);
         return tour.order().to_vec();
     };
     let order = shortcut_circuit(&circuit);
     debug_assert_eq!(order.len(), n, "shortcut must visit every vertex once");
     let mut tour = Tour::new(order);
-    if cfg.polish {
-        two_opt(&mut tour, m);
-    }
+    two_opt(&mut tour, m);
     tour.rotate_to_start(0);
     tour.order().to_vec()
 }
@@ -557,9 +504,10 @@ pub fn distances_to_point(xs: &[f64], ys: &[f64], px: f64, py: f64, out: &mut Ve
 /// `edge_costs` the cached edge costs (`edge_costs[i]` spans positions
 /// `i → (i+1) % n`). Because the cached distances are bit-identical to a
 /// fresh recomputation, the result `(delta, pos)` is specified to be
-/// bit-identical to [`InsertionKernel::run`] / the scalar
-/// first-strict-argmin edge scan: same `(d(a,p) + d(p,b)) - d(a,b)`
-/// association, same strict-`<` update, same position numbering.
+/// bit-identical to the scalar first-strict-argmin edge scan
+/// (`cheapest_insertion_point` in `uavdc-core`): same
+/// `(d(a,p) + d(p,b)) - d(a,b)` association, same strict-`<` update, same
+/// position numbering.
 pub fn cheapest_insertion_cached(row: &[f64], order: &[usize], edge_costs: &[f64]) -> (f64, u32) {
     let n = order.len();
     if n == 0 {
@@ -592,8 +540,7 @@ pub fn cheapest_insertion_cached(row: &[f64], order: &[usize], edge_costs: &[f64
 /// interleaving exists purely to pipeline the compare chains: one
 /// scalar scan is latency-bound on its `cmp → select` dependency, and
 /// four independent chains fill those stalls (this is what makes a
-/// rescan *batch* cheap, the same way [`InsertionKernel`] batches the
-/// uncached scan).
+/// rescan *batch* cheap).
 pub fn cheapest_insertion_cached4(
     rows: [&[f64]; 4],
     order: &[usize],
@@ -624,97 +571,6 @@ pub fn cheapest_insertion_cached4(
         (best[2], pos[2]),
         (best[3], pos[3]),
     ]
-}
-
-/// Batched cheapest-insertion scorer: evaluates a packed set of satellite
-/// points against every edge of one closed tour in a cache-friendly,
-/// auto-vectorisable edge-major sweep.
-///
-/// Per satellite the result is specified to be bit-identical to the
-/// scalar first-strict-argmin edge scan (`cheapest_insertion_point` in
-/// `uavdc-core`): same `(d(a,p) + d(p,b)) - d(a,b)` association, same
-/// strict-`<` update, same position numbering (`pos >= 1`, closing edge =
-/// tour length), with `d(a,b)` read from the caller's cached edge
-/// lengths. Scratch buffers persist across calls to avoid reallocation.
-#[derive(Clone, Debug, Default)]
-pub struct InsertionKernel {
-    prev: Vec<f64>,
-    next: Vec<f64>,
-    best: Vec<f64>,
-    pos: Vec<u32>,
-}
-
-impl InsertionKernel {
-    /// An empty kernel (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Scores every satellite `(sat_xs[j], sat_ys[j])` against the closed
-    /// tour given by coordinates in visiting order plus its cached edge
-    /// costs (`edge_costs[i]` spans tour points `i → (i+1) % n`; required
-    /// length `n` when `n >= 2`). Results are read back through
-    /// [`InsertionKernel::delta`] / [`InsertionKernel::pos`].
-    pub fn run(
-        &mut self,
-        tour_xs: &[f64],
-        tour_ys: &[f64],
-        edge_costs: &[f64],
-        sat_xs: &[f64],
-        sat_ys: &[f64],
-    ) {
-        let n = tour_xs.len();
-        let s = sat_xs.len();
-        debug_assert_eq!(tour_ys.len(), n);
-        debug_assert_eq!(sat_ys.len(), s);
-        self.best.clear();
-        self.pos.clear();
-        if n == 0 {
-            self.best.resize(s, 0.0);
-            self.pos.resize(s, 1);
-            return;
-        }
-        if n == 1 {
-            distances_to_point(sat_xs, sat_ys, tour_xs[0], tour_ys[0], &mut self.best);
-            for b in &mut self.best {
-                *b *= 2.0;
-            }
-            self.pos.resize(s, 1);
-            return;
-        }
-        debug_assert_eq!(edge_costs.len(), n);
-        self.best.resize(s, f64::INFINITY);
-        self.pos.resize(s, 1);
-        distances_to_point(sat_xs, sat_ys, tour_xs[0], tour_ys[0], &mut self.prev);
-        for (i, &e) in edge_costs.iter().enumerate() {
-            let bi = (i + 1) % n;
-            distances_to_point(sat_xs, sat_ys, tour_xs[bi], tour_ys[bi], &mut self.next);
-            let p = (i + 1) as u32;
-            for ((b, q), (&pv, &nx)) in self
-                .best
-                .iter_mut()
-                .zip(self.pos.iter_mut())
-                .zip(self.prev.iter().zip(self.next.iter()))
-            {
-                let delta = pv + nx - e;
-                if delta < *b {
-                    *b = delta;
-                    *q = p;
-                }
-            }
-            std::mem::swap(&mut self.prev, &mut self.next);
-        }
-    }
-
-    /// Cheapest-insertion deltas of the last [`InsertionKernel::run`].
-    pub fn delta(&self) -> &[f64] {
-        &self.best
-    }
-
-    /// Insertion positions of the last [`InsertionKernel::run`].
-    pub fn pos(&self) -> &[u32] {
-        &self.pos
-    }
 }
 
 #[cfg(test)]
@@ -766,7 +622,7 @@ mod tests {
 
     #[test]
     fn insert_matches_scalar_reference_bitwise() {
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for (i, p) in seeded_points(24, 37, 13).into_iter().enumerate() {
             let before = pts_of(&t);
             let (want_d, want_pos) = reference_cheapest(&before, Point2::new(p.0, p.1));
@@ -782,10 +638,10 @@ mod tests {
 
     #[test]
     fn edge_cache_stays_consistent_under_removal() {
-        let mut t = IncrementalTour::new((0.0, 0.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((0.0, 0.0));
         let ids: Vec<usize> = seeded_points(12, 41, 7)
             .into_iter()
-            .map(|p| t.insert(p).0)
+            .map(|p| t.insert(p))
             .collect();
         for &id in ids.iter().step_by(3) {
             t.remove(id);
@@ -833,7 +689,7 @@ mod tests {
             (paired, changed)
         }
 
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(20, 61, 3) {
             t.insert(p);
         }
@@ -856,7 +712,7 @@ mod tests {
 
     #[test]
     fn or_opt_never_lengthens_and_keeps_depot() {
-        let mut t = IncrementalTour::new((1.0, 2.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((1.0, 2.0));
         for p in seeded_points(16, 53, 11) {
             t.insert(p);
         }
@@ -869,7 +725,7 @@ mod tests {
 
     #[test]
     fn retour_matches_from_scratch_christofides() {
-        let mut t = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(18, 29, 5) {
             t.insert(p);
         }
@@ -878,7 +734,7 @@ mod tests {
         let perm = t.retour();
         // From-scratch reference over the same pre-retour point order.
         let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
-        let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
+        let mut tour = crate::christofides::christofides(&m);
         tour.rotate_to_start(0);
         assert_eq!(perm, tour.order().to_vec(), "retour permutation diverged");
         let want_ids: Vec<usize> = tour.order().iter().map(|&k| ids_before[k]).collect();
@@ -889,8 +745,8 @@ mod tests {
 
     #[test]
     fn matching_memo_reuse_is_bit_identical() {
-        let mut a = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
-        let mut b = IncrementalTour::new((50.0, 50.0), RetourPolicy::PatchOnly);
+        let mut a = IncrementalTour::new((50.0, 50.0));
+        let mut b = IncrementalTour::new((50.0, 50.0));
         for p in seeded_points(14, 43, 9) {
             a.insert(p);
             b.insert(p);
@@ -908,20 +764,6 @@ mod tests {
     }
 
     #[test]
-    fn every_k_policy_triggers_retour() {
-        let mut t = IncrementalTour::new((0.0, 0.0), RetourPolicy::EveryKPatches(4));
-        let mut retours = 0;
-        for p in seeded_points(12, 67, 1) {
-            if t.insert(p).1.is_some() {
-                retours += 1;
-            }
-        }
-        assert_eq!(retours, 3, "12 patches at K=4 must rebuild 3 times");
-        assert_eq!(t.counters().full_retours, 3);
-        assert_eq!(t.total_cost().to_bits(), closed_len(&pts_of(&t)).to_bits());
-    }
-
-    #[test]
     fn distances_to_point_matches_point2() {
         let pts = seeded_points(33, 59, 21);
         let xs: Vec<f64> = pts.iter().map(|p| p.0).collect();
@@ -932,43 +774,6 @@ mod tests {
         for (i, &d) in out.iter().enumerate() {
             let want = Point2::new(xs[i], ys[i]).distance(q);
             assert_eq!(d.to_bits(), want.to_bits(), "lane {i} diverged");
-        }
-    }
-
-    #[test]
-    fn insertion_kernel_matches_scalar_reference() {
-        for n in [0usize, 1, 2, 3, 7, 19] {
-            let tour_pts: Vec<Point2> = seeded_points(n, 37, 2)
-                .into_iter()
-                .map(|p| Point2::new(p.0, p.1))
-                .collect();
-            let tour_xs: Vec<f64> = tour_pts.iter().map(|p| p.x).collect();
-            let tour_ys: Vec<f64> = tour_pts.iter().map(|p| p.y).collect();
-            let edge_len: Vec<f64> = if n >= 2 {
-                (0..n)
-                    .map(|i| tour_pts[i].distance(tour_pts[(i + 1) % n]))
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let sats = seeded_points(25, 71, 5);
-            let sat_xs: Vec<f64> = sats.iter().map(|p| p.0).collect();
-            let sat_ys: Vec<f64> = sats.iter().map(|p| p.1).collect();
-            let mut kernel = InsertionKernel::new();
-            kernel.run(&tour_xs, &tour_ys, &edge_len, &sat_xs, &sat_ys);
-            for (j, &(sx, sy)) in sats.iter().enumerate() {
-                let (want_d, want_pos) = reference_cheapest(&tour_pts, Point2::new(sx, sy));
-                assert_eq!(
-                    kernel.delta()[j].to_bits(),
-                    want_d.to_bits(),
-                    "n={n} sat {j} delta diverged"
-                );
-                assert_eq!(
-                    kernel.pos()[j] as usize,
-                    want_pos,
-                    "n={n} sat {j} pos diverged"
-                );
-            }
         }
     }
 }

@@ -9,8 +9,8 @@
 //!   algorithm (maximum-weight matching on transformed weights); exact for
 //!   any size this crate encounters.
 //! * [`MatchingBackend::Greedy`] — greedy edge selection plus pairwise
-//!   2-exchange improvement; fast approximation used in the ablation
-//!   benches and as a fallback.
+//!   2-exchange improvement; a fast approximation, checked by the
+//!   matching fuzz tests.
 //!
 //! [`MatchingBackend::Auto`] picks DP for tiny inputs and blossom
 //! otherwise.

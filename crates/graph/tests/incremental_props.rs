@@ -16,10 +16,9 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use uavdc_geom::Point2;
-use uavdc_graph::christofides::{christofides_with_obs, ChristofidesConfig};
+use uavdc_graph::christofides::christofides;
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-    InsertionKernel, RetourPolicy,
 };
 use uavdc_graph::DistMatrix;
 
@@ -76,11 +75,11 @@ fn history() -> impl Strategy<Value = History> {
 /// Replays a history on a fresh tour; returns the tour and the ids of
 /// stops currently spliced in (depot excluded).
 fn drive(depot: (f64, f64), seed: &[(f64, f64)], ops: &[Op]) -> (IncrementalTour, Vec<usize>) {
-    let mut t = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
-    let mut live: Vec<usize> = seed.iter().map(|&p| t.insert(p).0).collect();
+    let mut t = IncrementalTour::new(depot);
+    let mut live: Vec<usize> = seed.iter().map(|&p| t.insert(p)).collect();
     for op in ops {
         match *op {
-            Op::Insert(p) => live.push(t.insert(p).0),
+            Op::Insert(p) => live.push(t.insert(p)),
             Op::Remove(sel) => {
                 if live.len() >= 5 {
                     let id = live.swap_remove(sel % live.len());
@@ -117,7 +116,7 @@ fn pts_of(t: &IncrementalTour) -> Vec<Point2> {
 /// position permutation — the reference for [`IncrementalTour::retour`].
 fn scratch_order(pts: &[Point2]) -> Vec<usize> {
     let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
-    let mut tour = christofides_with_obs(&m, &ChristofidesConfig::default(), &uavdc_obs::NOOP);
+    let mut tour = christofides(&m);
     tour.rotate_to_start(0);
     tour.order().to_vec()
 }
@@ -194,7 +193,6 @@ proptest! {
         let want_ids: Vec<usize> = want.iter().map(|&k| ids_before[k]).collect();
         prop_assert_eq!(t.order(), &want_ids[..]);
         prop_assert_eq!(t.counters().full_retours, retours_before + 1);
-        prop_assert_eq!(t.patches_since_retour(), 0);
         assert_edge_cache_exact(&t);
     }
 
@@ -213,7 +211,7 @@ proptest! {
         prop_assert_eq!(&s1, &s2, "speculative scoring must be deterministic");
         // History-free twin: same point sequence, contiguous ids, no
         // removed-stop ghosts, cold memo.
-        let mut fresh = IncrementalTour::new(t.point(0), RetourPolicy::PatchOnly);
+        let mut fresh = IncrementalTour::new(t.point(0));
         for &id in &t.order()[1..] {
             let fid = fresh.append_point(t.point(id));
             let end = fresh.len();
@@ -256,17 +254,16 @@ proptest! {
         assert_edge_cache_exact(&t);
     }
 
-    /// All four insertion paths agree lane for lane and bit for bit:
-    /// the scalar recomputing reference, the cached scan, the 4-lane
-    /// cached scan, the batch kernel, and the tour's own
-    /// `cheapest_insertion_of`.
+    /// All insertion paths agree lane for lane and bit for bit: the
+    /// scalar recomputing reference, the cached scan, the 4-lane cached
+    /// scan, and the tour's own `cheapest_insertion_of`.
     #[test]
     fn insertion_kernels_agree_bitwise(
         depot in qpoint(),
         stops in vec(qpoint(), 0..32),
         sats in vec(qpoint(), 4..24),
     ) {
-        let mut t = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
+        let mut t = IncrementalTour::new(depot);
         for &p in &stops {
             t.insert(p);
         }
@@ -275,10 +272,6 @@ proptest! {
         let nid = t.len();
         let xs: Vec<f64> = (0..nid).map(|id| t.point(id).0).collect();
         let ys: Vec<f64> = (0..nid).map(|id| t.point(id).1).collect();
-        let tour_xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
-        let tour_ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
-        let sat_xs: Vec<f64> = sats.iter().map(|p| p.0).collect();
-        let sat_ys: Vec<f64> = sats.iter().map(|p| p.1).collect();
 
         // Banked rows: cached satellite -> stop-id distances.
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(sats.len());
@@ -288,17 +281,12 @@ proptest! {
             rows.push(row);
         }
 
-        let mut kernel = InsertionKernel::new();
-        kernel.run(&tour_xs, &tour_ys, t.edge_costs(), &sat_xs, &sat_ys);
-
         let mut scalar = Vec::with_capacity(sats.len());
         for (j, &(sx, sy)) in sats.iter().enumerate() {
             let (want_d, want_pos) = reference_cheapest(&pts, Point2::new(sx, sy));
             let (got_d, got_pos) = cheapest_insertion_cached(&rows[j], t.order(), t.edge_costs());
             prop_assert_eq!(got_d.to_bits(), want_d.to_bits(), "cached delta, sat {}", j);
             prop_assert_eq!(got_pos as usize, want_pos, "cached pos, sat {}", j);
-            prop_assert_eq!(kernel.delta()[j].to_bits(), want_d.to_bits(), "kernel delta, sat {}", j);
-            prop_assert_eq!(kernel.pos()[j] as usize, want_pos, "kernel pos, sat {}", j);
             scalar.push((got_d, got_pos));
         }
         for (c, chunk) in rows.chunks_exact(4).enumerate() {
@@ -319,42 +307,5 @@ proptest! {
         let (d, pos) = t.cheapest_insertion_of(id);
         prop_assert_eq!(d.to_bits(), scalar[0].0.to_bits());
         prop_assert_eq!(pos, scalar[0].1 as usize);
-    }
-
-    /// `EveryKPatches` is exactly "PatchOnly plus a retour every K
-    /// patches": the policy fires on schedule, the counters account every
-    /// patch, and the resulting tour is bit-identical to a manually
-    /// scheduled twin.
-    #[test]
-    fn every_k_policy_matches_manual_schedule(
-        depot in qpoint(),
-        stops in vec(qpoint(), 4..24),
-        k in 1u32..6,
-    ) {
-        let mut auto = IncrementalTour::new(depot, RetourPolicy::EveryKPatches(k));
-        let mut fired = 0u32;
-        for &p in &stops {
-            if auto.insert(p).1.is_some() {
-                fired += 1;
-            }
-        }
-        prop_assert_eq!(fired, stops.len() as u32 / k, "policy fired off schedule");
-        prop_assert_eq!(auto.counters().full_retours, u64::from(fired));
-        prop_assert_eq!(auto.counters().tour_patches, stops.len() as u64);
-        prop_assert_eq!(auto.patches_since_retour(), stops.len() as u32 % k);
-
-        let mut manual = IncrementalTour::new(depot, RetourPolicy::PatchOnly);
-        let mut since = 0;
-        for &p in &stops {
-            manual.insert(p);
-            since += 1;
-            if since == k {
-                manual.retour();
-                since = 0;
-            }
-        }
-        // Ids were allocated in the same sequence, so orders compare 1:1.
-        prop_assert_eq!(auto.order(), manual.order(), "policy tour diverged from manual twin");
-        prop_assert_eq!(auto.total_cost().to_bits(), manual.total_cost().to_bits());
     }
 }

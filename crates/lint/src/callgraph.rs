@@ -174,8 +174,7 @@ impl CallGraph {
                     }
                     // Concurrency hazards are collected even in
                     // sanctioned obs/compat code — the recorder's Mutex
-                    // and the shim's spawns are exactly what the lock
-                    // rules patrol.
+                    // is exactly what the lock rules patrol.
                     if file.kind == FileKind::Library && !fun.in_test {
                         crate::concurrency::collect_sites(
                             file,

@@ -118,8 +118,7 @@ const PAR_TARGETS: [&str; 4] = [
 
 /// Scans a body token range for concurrency hazard sites. Unlike the v3
 /// hazard collector this is *not* gated by `obs_sanctioned` — the
-/// recorder's Mutex and the compat shim's spawns are exactly what the
-/// lock rules must see. `allowed(rule, line, mark)` checks (and with
+/// recorder's Mutex is exactly what the lock rules must see. `allowed(rule, line, mark)` checks (and with
 /// `mark = true`, consumes) a pragma.
 pub(crate) fn collect_sites(
     file: &FileCtx,

@@ -506,6 +506,48 @@ fn fix_unused_check_mode_fails_on_stale_pragmas() {
     assert_eq!(out.status.code(), Some(0), "clean file passes --check");
 }
 
+/// A subdirectory whose `Cargo.toml` declares its own `[workspace]` is a
+/// separate project: the workspace walk skips it, while a plain member
+/// crate next to it is still scanned.
+#[test]
+fn nested_workspace_is_out_of_scope() {
+    let root = scratch_copy("nested_workspace");
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, text: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create dir");
+        std::fs::write(path, text).expect("write fixture file");
+    };
+    let unwrap_fn = "pub fn first(xs: &[u32]) -> u32 {\n    *xs.first().unwrap()\n}\n";
+    write("Cargo.toml", "[workspace]\nmembers = [\"member\"]\n");
+    write("member/Cargo.toml", "[package]\nname = \"member\"\n");
+    write("member/src/lib.rs", unwrap_fn);
+    write(
+        "nested/Cargo.toml",
+        "[package]\nname = \"nested\"\n\n[workspace]\n",
+    );
+    write("nested/src/lib.rs", unwrap_fn);
+
+    let files = uavdc_lint::collect_rs_files(&root).expect("walk");
+    let rel: Vec<_> = files
+        .iter()
+        .map(|f| f.strip_prefix(&root).unwrap())
+        .collect();
+    assert_eq!(rel, [Path::new("member/src/lib.rs")], "walk: {rel:?}");
+
+    let findings = uavdc_lint::scan_workspace(&root).expect("scan");
+    assert!(
+        findings
+            .iter()
+            .all(|f| f.path.starts_with("member") && f.rule.name() == "panic-site"),
+        "only the member's unwrap is reported: {findings:?}"
+    );
+    assert!(!findings.is_empty(), "the member crate is still scanned");
+    // Scanned as a root of its own, the nested workspace is in scope.
+    let nested = uavdc_lint::scan_workspace(&root.join("nested")).expect("scan");
+    assert!(!nested.is_empty(), "nested root scans its own files");
+}
+
 #[test]
 fn whole_workspace_is_clean() {
     let findings =

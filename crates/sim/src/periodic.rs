@@ -77,7 +77,7 @@ impl PeriodicOutcome {
     }
 
     /// True when the backlog in the last quarter of the campaign never
-    /// exceeded `bound` — a practical steady-state criterion.
+    /// exceeded `bound` — a practical steady-state test.
     pub fn backlog_bounded_by(&self, bound: MegaBytes) -> bool {
         let start = self.rounds.len() - self.rounds.len() / 4 - 1;
         self.rounds[start..]
