@@ -397,8 +397,8 @@ fn obs_overhead(budget_pct: f64) {
                 base.counters.evaluations, inst.counters.evaluations,
                 "{label}: recorder changed the search"
             );
-            pass_noop += base.setup_ns + base.loop_ns;
-            pass_coll += inst.setup_ns + inst.loop_ns;
+            pass_noop += base.total_ns();
+            pass_coll += inst.total_ns();
         }
         noop_ns = noop_ns.min(pass_noop);
         coll_ns = coll_ns.min(pass_coll);

@@ -30,8 +30,8 @@
 //! output.
 //!
 //! Throughput is reported as plans/sec over the batch wall clock plus
-//! p50/p99 of per-request planner latency (`setup_ns + loop_ns`, the
-//! planners' own pragma-audited timers), both carried in a `uavdc-obs`
+//! p50/p99 of per-request planner latency (`PlanStats::total_ns`, the
+//! planners' own set-up and loop spans), both carried in a `uavdc-obs`
 //! [`RunReport`] alongside the deterministic `service.*` counters.
 
 use std::collections::BTreeMap;
@@ -144,7 +144,7 @@ pub struct RequestOutcome {
     /// Full Christofides rebuilds (Algorithm 2's paper mode; 0
     /// elsewhere).
     pub full_retours: u64,
-    /// Planner-measured latency: `setup_ns + loop_ns` (timing — the one
+    /// Planner-measured latency: `PlanStats::total_ns` (timing — the one
     /// nondeterministic field).
     pub latency_ns: u64,
 }
@@ -200,15 +200,6 @@ fn fnv_words(words: &[u64]) -> u64 {
     h
 }
 
-/// Builds the pruned candidate set the planners' cold path would build
-/// for this scenario and `δ` (the artifact the cache's invisibility
-/// contract promises).
-fn build_candidates(scenario: &Scenario, delta: f64) -> CandidateSet {
-    let mut c = CandidateSet::build(scenario, delta);
-    c.prune_dominated();
-    c
-}
-
 /// Runs one request against its base scenario and (possibly cached)
 /// setup artifacts. `cand`/`bench` are `None` on a cache miss or in cold
 /// mode — the planner then rebuilds setup itself, which is the same
@@ -244,7 +235,7 @@ fn run_one(
         evaluations: stats.counters.evaluations,
         tour_patches: stats.counters.tour_patches,
         full_retours: stats.counters.full_retours,
-        latency_ns: stats.setup_ns + stats.loop_ns,
+        latency_ns: stats.total_ns(),
     }
 }
 
@@ -313,7 +304,9 @@ pub fn run_batch(cfg: &ServiceConfig, requests: &[PlanRequest]) -> BatchReport {
             .map(|(key, (seed, delta))| (key, seed, delta))
             .collect();
         let cand_built = chunked_map_with(&cand_list, threads, |&(_, seed, delta)| {
-            scenarios.get(&seed).map(|s| build_candidates(s, delta))
+            scenarios
+                .get(&seed)
+                .map(|s| CandidateSet::build_pruned(s, delta))
         });
         for ((key, _, _), artifact) in cand_list.iter().zip(cand_built) {
             if let Some(a) = artifact {
@@ -351,7 +344,7 @@ pub fn run_batch(cfg: &ServiceConfig, requests: &[PlanRequest]) -> BatchReport {
                 let cand = match cand_cache.get(candidate_key(layout, delta)) {
                     Some(a) => a,
                     None => {
-                        local = Arc::new(build_candidates(base, delta));
+                        local = Arc::new(CandidateSet::build_pruned(base, delta));
                         local
                     }
                 };

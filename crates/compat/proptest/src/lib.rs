@@ -188,9 +188,9 @@ pub mod strategy {
     /// One weighted, type-erased sampling arm of a [`Union`].
     pub type WeightedArm<T> = (u32, Box<dyn Fn(&mut TestRng) -> T>);
 
-    /// Strategy built by [`prop_oneof!`]: picks one of several weighted
-    /// arms per sample. Arms are type-erased sampling closures so
-    /// heterogeneous strategy types can share one value type.
+    /// Strategy built by [`prop_oneof!`](crate::prop_oneof): picks one of
+    /// several weighted arms per sample. Arms are type-erased sampling
+    /// closures so heterogeneous strategy types can share one value type.
     pub struct Union<T> {
         arms: Vec<WeightedArm<T>>,
         total: u64,

@@ -8,12 +8,10 @@
 //! the UAV's collection tour; its cycle weight in the auxiliary graph is
 //! exactly its energy demand.
 //!
-//! The "no overlapping" premise is realised by [`CandidateFilter`]:
-//! `Disjoint` (default) greedily filters candidates to pairwise-disjoint
-//! coverage sets before solving, so awards never double-count a device;
-//! `Raw` runs on all candidates exactly as the paper states the algorithm
-//! (awards may double-count when coverage overlaps, but the built plan
-//! still collects each device once — at its first covering stop).
+//! The "no overlapping" premise is realised by
+//! [`CandidateSet::disjoint_by_volume`]: candidates are greedily filtered
+//! to a maximal family with pairwise-disjoint coverage (largest covered
+//! volume first) before solving, so awards never double-count a device.
 
 use crate::auxgraph::AuxGraph;
 use crate::candidates::CandidateSet;
@@ -24,26 +22,11 @@ use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
 use uavdc_orienteering::{solve_obs, Backend, GraspConfig};
 
-/// How candidates are prepared before the orienteering reduction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CandidateFilter {
-    /// Greedily keep a maximal family of candidates with pairwise-disjoint
-    /// coverage (largest covered volume first) — the faithful "no
-    /// hovering coverage overlapping" setting.
-    #[default]
-    Disjoint,
-    /// Keep all candidates (plus dominance pruning); awards may
-    /// double-count devices shared between overlapping candidates.
-    Raw,
-}
-
 /// Configuration of [`Alg1Planner`].
 #[derive(Clone, Copy, Debug)]
 pub struct Alg1Config {
     /// Grid edge length `δ`, metres.
     pub delta: f64,
-    /// Candidate preparation.
-    pub filter: CandidateFilter,
     /// Orienteering backend.
     pub backend: Backend,
 }
@@ -52,7 +35,6 @@ impl Default for Alg1Config {
     fn default() -> Self {
         Alg1Config {
             delta: 10.0,
-            filter: CandidateFilter::Disjoint,
             backend: Backend::Grasp(GraspConfig::default()),
         }
     }
@@ -79,14 +61,8 @@ impl Alg1Planner {
         let root = Span::root(rec, "alg1");
 
         let cand_span = root.child("candidates");
-        let mut candidates = CandidateSet::build(scenario, self.config.delta);
-        let candidates = match self.config.filter {
-            CandidateFilter::Disjoint => candidates.disjoint_by_volume(scenario),
-            CandidateFilter::Raw => {
-                candidates.prune_dominated();
-                candidates
-            }
-        };
+        let candidates =
+            CandidateSet::build(scenario, self.config.delta).disjoint_by_volume(scenario);
         drop(cand_span);
         rec.add("alg1.candidates", candidates.candidates.len() as u64);
         if candidates.is_empty() {
@@ -119,8 +95,6 @@ impl Alg1Planner {
                     stop_collect.push((DeviceId(v), data));
                 }
             }
-            // Under the Raw filter a stop can be fully redundant; keep it
-            // on the tour (the energy was budgeted) but hover zero time.
             stops.push(HoverStop {
                 pos: cand.pos,
                 sojourn,
@@ -219,18 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn raw_filter_never_overcollects() {
-        let s = scenario(20_000.0);
-        let cfg = Alg1Config {
-            filter: CandidateFilter::Raw,
-            ..Alg1Config::default()
-        };
-        let plan = Alg1Planner::new(cfg).plan(&s);
-        plan.validate(&s).unwrap(); // validator rejects double collection
-        assert!(plan.collected_volume() <= s.total_data());
-    }
-
-    #[test]
     fn disjoint_filter_prize_equals_plan_volume() {
         // With disjoint candidates the orienteering prize cannot
         // double-count, so plan volume == claimed volume is implied by
@@ -251,7 +213,6 @@ mod tests {
         let cfg = Alg1Config {
             delta: 25.0,
             backend: Backend::Exact,
-            ..Alg1Config::default()
         };
         let plan = Alg1Planner::new(cfg).plan(&s);
         plan.validate(&s).unwrap();
@@ -259,7 +220,6 @@ mod tests {
         let greedy = Alg1Planner::new(Alg1Config {
             delta: 25.0,
             backend: Backend::Greedy,
-            ..Alg1Config::default()
         })
         .plan(&s);
         assert!(plan.collected_volume().value() >= greedy.collected_volume().value() - 1e-9);

@@ -69,9 +69,6 @@ pub struct Alg2Config {
     pub delta: f64,
     /// Tour maintenance strategy.
     pub tour_mode: TourMode,
-    /// Drop candidates whose coverage is dominated by another candidate
-    /// before planning.
-    pub prune_dominated: bool,
     /// Parallelise candidate evaluation above this candidate count
     /// (`usize::MAX` disables threading).
     pub parallel_threshold: usize,
@@ -97,7 +94,6 @@ impl Default for Alg2Config {
         Alg2Config {
             delta: 10.0,
             tour_mode: TourMode::FastInsertion,
-            prune_dominated: true,
             parallel_threshold: 4096,
             engine: EngineMode::Lazy,
             speculative_cache: true,
@@ -1005,15 +1001,11 @@ impl Alg2Planner {
     /// in `tests/obs_noop_equivalence.rs`), and optionally reusing a
     /// prebuilt candidate set instead of rebuilding it.
     ///
-    /// `prepared` must be exactly what the cold path would build —
-    /// `CandidateSet::build(scenario, config.delta)` followed by
-    /// `prune_dominated()` when `config.prune_dominated` is set — which is
-    /// what `uavdc-bench`'s artifact cache guarantees by keying on the
-    /// scenario layout fingerprint and `δ`. Cold and prepared runs then
-    /// share every instruction after setup, so plans and counters are
-    /// bit-identical (property-tested in
-    /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// `prepared` is the cold path's candidate set,
+    /// [`CandidateSet::build_pruned`]`(scenario, config.delta)`, supplied
+    /// by the caller (see that constructor for the contract); only
+    /// `setup_ns` shrinks. `setup_ns` and `loop_ns` are the durations of
+    /// the `alg2/setup` and `alg2/loop` spans.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -1021,18 +1013,12 @@ impl Alg2Planner {
         rec: &dyn Recorder,
     ) -> (CollectionPlan, PlanStats) {
         let root = Span::root(rec, "alg2");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
         let setup_span = root.child("setup");
         let built;
         let candidates = match prepared {
             Some(c) => c,
             None => {
-                let mut c = CandidateSet::build(scenario, self.config.delta);
-                if self.config.prune_dominated {
-                    c.prune_dominated();
-                }
-                built = c;
+                built = CandidateSet::build_pruned(scenario, self.config.delta);
                 &built
             }
         };
@@ -1051,16 +1037,15 @@ impl Alg2Planner {
             setup_ns: 0,
             loop_ns: 0,
         };
-        drop(setup_span);
         if candidates.is_empty() {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
+            stats.setup_ns = setup_span.finish();
             return (CollectionPlan::empty(), stats);
         }
         let mut state = GreedyState::new(scenario, candidates);
         let eta_h = scenario.uav.hover_power.value();
         // The lazy engine's accelerator structures are input-derived
         // (scenario + candidate set only), so they are built in the setup
-        // phase alongside the candidate set itself; the loop timer below
+        // phase alongside the candidate set itself; the loop span below
         // covers the greedy search proper for both engines.
         let mut pre = match (self.config.tour_mode, engine) {
             (TourMode::FastInsertion, EngineMode::Lazy) => {
@@ -1068,9 +1053,7 @@ impl Alg2Planner {
             }
             _ => None,
         };
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
+        stats.setup_ns = setup_span.finish();
         let loop_span = root.child("loop");
         match (self.config.tour_mode, engine, pre.as_mut()) {
             (TourMode::PaperChristofides, _, _) => {
@@ -1086,8 +1069,7 @@ impl Alg2Planner {
             ),
             _ => run_exhaustive(&mut state, &self.config, eta_h, &mut stats.counters),
         }
-        drop(loop_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
+        stats.loop_ns = loop_span.finish();
         flush_counters(rec, &stats.counters);
         let plan = state.into_plan();
         crate::validate::debug_check_plan(

@@ -36,8 +36,6 @@ pub struct Alg3Config {
     /// Number of sojourn partitions `K >= 1`; `K = 1` degenerates to full
     /// collection per stop (Algorithm 2 behaviour).
     pub k: usize,
-    /// Drop dominated candidates before planning.
-    pub prune_dominated: bool,
     /// Parallelise candidate evaluation above this candidate count.
     pub parallel_threshold: usize,
     /// Per-iteration evaluation strategy ([`EngineMode::Lazy`] default).
@@ -49,7 +47,6 @@ impl Default for Alg3Config {
         Alg3Config {
             delta: 10.0,
             k: 2,
-            prune_dominated: true,
             parallel_threshold: 4096,
             engine: EngineMode::Lazy,
         }
@@ -613,14 +610,11 @@ impl Alg3Planner {
     /// in `tests/obs_noop_equivalence.rs`), and optionally reusing a
     /// prebuilt candidate set instead of rebuilding it.
     ///
-    /// `prepared` must be exactly what the cold path would build —
-    /// `CandidateSet::build(scenario, config.delta)` followed by
-    /// `prune_dominated()` when `config.prune_dominated` is set (the
-    /// keying contract of `uavdc-bench`'s artifact cache). Cold and
-    /// prepared runs share every instruction after setup, so plans and
-    /// counters are bit-identical (property-tested in
-    /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// `prepared` is the cold path's candidate set,
+    /// [`CandidateSet::build_pruned`]`(scenario, config.delta)`, supplied
+    /// by the caller (see that constructor for the contract); only
+    /// `setup_ns` shrinks. `setup_ns` and `loop_ns` are the durations of
+    /// the `alg3/setup` and `alg3/loop` spans.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -629,18 +623,12 @@ impl Alg3Planner {
     ) -> (CollectionPlan, PlanStats) {
         assert!(self.config.k >= 1, "K must be at least 1");
         let root = Span::root(rec, "alg3");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
         let setup_span = root.child("setup");
         let built;
         let candidates = match prepared {
             Some(c) => c,
             None => {
-                let mut c = CandidateSet::build(scenario, self.config.delta);
-                if self.config.prune_dominated {
-                    c.prune_dominated();
-                }
-                built = c;
+                built = CandidateSet::build_pruned(scenario, self.config.delta);
                 &built
             }
         };
@@ -653,9 +641,8 @@ impl Alg3Planner {
             setup_ns: 0,
             loop_ns: 0,
         };
-        drop(setup_span);
         if candidates.is_empty() {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
+            stats.setup_ns = setup_span.finish();
             return (CollectionPlan::empty(), stats);
         }
         let mut state = PartialState::new(scenario, candidates);
@@ -668,9 +655,7 @@ impl Alg3Planner {
             .saturating_mul(4)
             + 64;
         let eta_h = scenario.uav.hover_power.value();
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
+        stats.setup_ns = setup_span.finish();
         let loop_span = root.child("loop");
         match self.config.engine {
             EngineMode::Lazy => run_lazy(
@@ -689,8 +674,7 @@ impl Alg3Planner {
                 &mut stats.counters,
             ),
         }
-        drop(loop_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
+        stats.loop_ns = loop_span.finish();
         flush_counters(rec, &stats.counters);
         let plan = state.into_plan();
         crate::validate::debug_check_plan(

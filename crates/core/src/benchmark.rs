@@ -370,7 +370,8 @@ impl BenchmarkPlanner {
     /// prepared runs share every instruction after setup and produce
     /// bit-identical plans and counters (property-tested in
     /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
-    /// `setup_ns` shrinks.
+    /// `setup_ns` shrinks. `setup_ns` and `loop_ns` are the durations of
+    /// the `bench/setup` and `bench/prune` spans.
     pub fn plan_prepared_obs(
         &self,
         scenario: &Scenario,
@@ -379,8 +380,7 @@ impl BenchmarkPlanner {
         rec: &dyn Recorder,
     ) -> (CollectionPlan, PlanStats) {
         let root = Span::root(rec, "bench");
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let setup_start = std::time::Instant::now();
+        let setup_span = root.child("setup");
         let n = scenario.num_devices();
         let mut stats = PlanStats {
             engine,
@@ -392,10 +392,9 @@ impl BenchmarkPlanner {
             loop_ns: 0,
         };
         if n == 0 {
-            stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
+            stats.setup_ns = setup_span.finish();
             return (CollectionPlan::empty(), stats);
         }
-        let setup_span = root.child("setup");
         let built;
         let setup = match prepared {
             Some(s) => s,
@@ -410,18 +409,14 @@ impl BenchmarkPlanner {
             dev_of: setup.dev_of.clone(),
             coverage: setup.coverage.clone(),
         };
-        stats.setup_ns = setup_start.elapsed().as_nanos() as u64;
-        drop(setup_span);
+        stats.setup_ns = setup_span.finish();
 
-        // lint:allow(effect-taint): wall-clock runtime stats only; never influence plan content
-        let loop_start = std::time::Instant::now();
         let prune_span = root.child("prune");
         match engine {
             EngineMode::Lazy => prune_lazy(&mut state, &mut stats.counters, rec),
             EngineMode::Exhaustive => prune_exhaustive(&mut state, &mut stats.counters),
         }
-        drop(prune_span);
-        stats.loop_ns = loop_start.elapsed().as_nanos() as u64;
+        stats.loop_ns = prune_span.finish();
         let c = &stats.counters;
         rec.add("bench.initial_stops", c.candidates as u64);
         rec.add("bench.iterations", c.iterations);

@@ -27,7 +27,7 @@
 //!   parks candidates that cannot fit until slack reappears, and resolves
 //!   near-ties with the same `1e-15` band + lowest-candidate-index fold
 //!   the exhaustive serial scan uses.
-//! * [`chunked_argmax`] / [`chunked_map`] — the one shared
+//! * `chunked_argmax` / `chunked_map` — the one shared
 //!   implementation of the scoped-thread chunked scan that
 //!   `alg2::best_evaluation` and `alg3::best_virtual` used to duplicate,
 //!   now also pointed at dirty *batches* instead of the full range. Thread
@@ -115,7 +115,7 @@ where
     chunked_argmax_with(n, threads, eval, better)
 }
 
-/// [`chunked_argmax`] with an explicit worker-thread count, bypassing the
+/// `chunked_argmax` with an explicit worker-thread count, bypassing the
 /// process-wide `UAVDC_THREADS` cache. `threads == 1` (or `n < 2`) is the
 /// plain serial fold. The result is bit-identical for every thread count:
 /// chunks are folded in ascending-index order and merged in chunk order,
@@ -192,7 +192,7 @@ where
     chunked_map_with(batch, threads, f)
 }
 
-/// [`chunked_map`] with an explicit worker-thread count, bypassing the
+/// `chunked_map` with an explicit worker-thread count, bypassing the
 /// process-wide `UAVDC_THREADS` cache. Results come back in batch order
 /// regardless of the thread count (chunks are contiguous and concatenated
 /// in chunk order), which the determinism property test asserts.
@@ -363,18 +363,6 @@ impl InsertionCache {
         self.delta[c] = delta;
         self.pos[c] = pos;
         self.valid[c] = true;
-    }
-
-    /// Marks one entry as needing a rescan.
-    #[inline]
-    pub fn invalidate(&mut self, c: usize) {
-        self.valid[c] = false;
-    }
-
-    /// Invalidates everything (used after 2-opt compaction changed the
-    /// tour wholesale).
-    pub fn invalidate_all(&mut self) {
-        self.valid.iter_mut().for_each(|v| *v = false);
     }
 
     /// Repairs entry `c` after `p` was inserted at position `ins_pos`;
@@ -753,9 +741,13 @@ pub struct PlanStats {
     /// candidates for Algorithms 2/3, initial tour stops for the
     /// benchmark heuristic).
     pub counters: EvalCounters,
-    /// Wall time building + pruning the candidate set, nanoseconds.
+    /// Wall time of everything before the loop, nanoseconds: building
+    /// and pruning the candidate set (or the benchmark's initial tour)
+    /// and the engine's precompute. The duration of the planner's
+    /// `*/setup` span.
     pub setup_ns: u64,
-    /// Wall time in the greedy loop itself, nanoseconds.
+    /// Wall time of the greedy loop itself, nanoseconds: the duration of
+    /// the planner's `*/loop` span (`bench/prune` for the benchmark).
     pub loop_ns: u64,
 }
 

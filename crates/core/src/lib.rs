@@ -53,7 +53,7 @@ mod sweep;
 mod tourutil;
 pub mod validate;
 
-pub use alg1::{Alg1Config, Alg1Planner, CandidateFilter};
+pub use alg1::{Alg1Config, Alg1Planner};
 pub use alg2::{Alg2Config, Alg2Planner, TourMode};
 pub use alg3::{Alg3Config, Alg3Planner};
 pub use auxgraph::AuxGraph;

@@ -274,8 +274,6 @@ pub struct JointFleetPlanner {
     pub fleet_size: usize,
     /// Grid edge length `δ`, metres.
     pub delta: f64,
-    /// Drop dominated candidates before planning.
-    pub prune_dominated: bool,
 }
 
 impl JointFleetPlanner {
@@ -284,7 +282,6 @@ impl JointFleetPlanner {
         JointFleetPlanner {
             fleet_size,
             delta: 10.0,
-            prune_dominated: true,
         }
     }
 
@@ -300,10 +297,7 @@ impl JointFleetPlanner {
 
         let m = self.fleet_size;
         assert!(m >= 1, "fleet needs at least one UAV");
-        let mut candidates = CandidateSet::build(scenario, self.delta);
-        if self.prune_dominated {
-            candidates.prune_dominated();
-        }
+        let candidates = CandidateSet::build_pruned(scenario, self.delta);
         if candidates.is_empty() {
             return FleetPlan {
                 plans: vec![CollectionPlan::empty(); m],

@@ -17,7 +17,9 @@
 //! default is a quick pass.
 
 use proptest::prelude::*;
-use uavdc_core::{Alg2Config, Alg2Planner, CollectionPlan, EngineMode, PlanStats, TourMode};
+use uavdc_core::{
+    Alg2Config, Alg2Planner, CandidateSet, CollectionPlan, EngineMode, PlanStats, TourMode,
+};
 use uavdc_net::generator::{uniform, ScenarioParams};
 use uavdc_net::units::Joules;
 use uavdc_net::Scenario;
@@ -37,31 +39,18 @@ fn scenario(seed: u64, scale: f64, capacity_kj: f64) -> Scenario {
     uniform(&params, seed)
 }
 
-fn run(s: &Scenario, config: Alg2Config) -> (CollectionPlan, PlanStats) {
-    Alg2Planner::new(config).plan_with_stats(s)
-}
-
-/// Plans with both engines and asserts full-plan and tour-counter
+/// Plans with both engines (over `prepared` when given, else over the
+/// cold path's own candidate set) and asserts full-plan and tour-counter
 /// equality; returns the (shared) plan and the lazy stats.
 fn assert_engines_equivalent(
     s: &Scenario,
     base: Alg2Config,
+    prepared: Option<&CandidateSet>,
     tag: &str,
 ) -> (CollectionPlan, PlanStats) {
-    let (pl, sl) = run(
-        s,
-        Alg2Config {
-            engine: EngineMode::Lazy,
-            ..base
-        },
-    );
-    let (pf, sf) = run(
-        s,
-        Alg2Config {
-            engine: EngineMode::Exhaustive,
-            ..base
-        },
-    );
+    let run = |engine| Alg2Planner::new(Alg2Config { engine, ..base }).plan_prepared(s, prepared);
+    let (pl, sl) = run(EngineMode::Lazy);
+    let (pf, sf) = run(EngineMode::Exhaustive);
     prop_assert_eq!(&pl, &pf, "{}: lazy and exhaustive plans diverge", tag);
     prop_assert_eq!(
         sl.counters.iterations,
@@ -110,7 +99,7 @@ proptest! {
             tour_mode: TourMode::FastInsertion,
             delta,
             ..Alg2Config::default()
-        }, "alg2/fast");
+        }, None, "alg2/fast");
         prop_assert!(
             stats.counters.tour_patches >= plan.stops.len() as u64,
             "{} stops cannot come from {} patches",
@@ -121,19 +110,21 @@ proptest! {
             "fast-insertion mode must never run a full rebuild");
     }
 
-    /// Disabling dominated-candidate pruning changes the candidate set
-    /// the engines race over but must not change the engine equivalence.
+    /// An unpruned candidate set keeps duplicate and dominated coverage
+    /// sets, so the engines race over many exact ρ ties; both must still
+    /// break them the same way.
     #[test]
     fn fast_insertion_agrees_without_pruning(
         seed in 0u64..100_000,
         scale in 0.05f64..0.12,
     ) {
         let s = scenario(seed, scale, 200.0);
-        assert_engines_equivalent(&s, Alg2Config {
+        let base = Alg2Config {
             tour_mode: TourMode::FastInsertion,
-            prune_dominated: false,
             ..Alg2Config::default()
-        }, "alg2/fast/noprune");
+        };
+        let unpruned = CandidateSet::build(&s, base.delta);
+        assert_engines_equivalent(&s, base, Some(&unpruned), "alg2/fast/noprune");
     }
 }
 
@@ -159,11 +150,11 @@ proptest! {
         let (cached_plan, cached_stats) = assert_engines_equivalent(&s, Alg2Config {
             speculative_cache: true,
             ..base
-        }, "alg2/paper/cached");
+        }, None, "alg2/paper/cached");
         let (cold_plan, cold_stats) = assert_engines_equivalent(&s, Alg2Config {
             speculative_cache: false,
             ..base
-        }, "alg2/paper/cold");
+        }, None, "alg2/paper/cold");
         prop_assert_eq!(&cached_plan, &cold_plan,
             "speculative cache changed the plan");
         prop_assert_eq!(

@@ -124,6 +124,14 @@ pub fn scenario_from_str(text: &str) -> Result<Scenario, ScenarioIoError> {
         .next()
         .ok_or_else(|| ScenarioIoError::Parse("missing radio".into()))?;
     let ra = floats(radio_line, "radio", 2).ok_or_else(|| err(n3, "bad radio line"))?;
+    // `RadioModel::new` asserts these, so they are checked before it runs.
+    for (v, what) in [(ra[0], "range"), (ra[1], "bandwidth")] {
+        if !(v.is_finite() && v > 0.0) {
+            return Err(ScenarioIoError::Invalid(format!(
+                "radio {what} must be positive and finite, got {v}"
+            )));
+        }
+    }
     let (n4, uav_line) = lines
         .next()
         .ok_or_else(|| ScenarioIoError::Parse("missing uav".into()))?;
@@ -264,6 +272,24 @@ mod tests {
             scenario_from_str(&text),
             Err(ScenarioIoError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn rejects_out_of_range_radio_without_panicking() {
+        let good = scenario_to_string(&uniform(&ScenarioParams::default().scaled(0.02), 1));
+        let radio = good.lines().find(|l| l.starts_with("radio ")).unwrap();
+        for bad in [
+            "radio -1 150",
+            "radio 0 150",
+            "radio nan 150",
+            "radio 20 inf",
+        ] {
+            let text = good.replace(radio, bad);
+            assert!(
+                matches!(scenario_from_str(&text), Err(ScenarioIoError::Invalid(_))),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

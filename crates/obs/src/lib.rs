@@ -10,12 +10,15 @@
 //! one mutex and is `Sync`, so the `chunked_*_with` scoped workers of the
 //! greedy engine can share it by reference.
 //!
-//! Time never enters the recorder implicitly: span durations come from a
-//! [`Clock`] injected at construction. Production uses [`MonotonicClock`]
-//! (a `std::time::Instant` anchor); replays and tests use [`ManualClock`]
-//! so recorded timings are deterministic. Timings therefore *never* feed
-//! back into planning decisions — the recorder is write-only from the
-//! planner's point of view.
+//! Spans time themselves: a [`Span`] reads its recorder's [`Clock`] when
+//! it opens and when it closes, reports the difference to
+//! [`Recorder::span_end`], and hands it back from [`Span::finish`], so a
+//! planner's own timing stats and the recorded span tree are one
+//! measurement. [`NoopRecorder`] reads a process-wide [`MonotonicClock`];
+//! [`CollectingRecorder`] reads the clock injected at construction, so
+//! replays and tests under a [`ManualClock`] record deterministic timings.
+//! Timings *never* feed back into planning decisions — the recorder is
+//! write-only from the planner's point of view.
 //!
 //! A finished run renders to a [`RunReport`]: spans aggregated by path
 //! (children sorted by name), counters and histograms sorted by name,
@@ -26,11 +29,10 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Monotonic time source injected into a [`CollectingRecorder`].
+/// Monotonic time source a [`Recorder`] times its spans with.
 ///
 /// Implementations must be monotonic per instance; absolute epoch is
 /// irrelevant because only span differences are reported.
@@ -67,44 +69,35 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// Deterministic clock for replays and tests: time moves only when the
-/// caller advances it.
-#[derive(Debug, Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
+/// Deterministic clock for replays and tests: frozen at zero, so every
+/// span records zero nanoseconds and reports are byte-identical across
+/// runs.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ManualClock;
 
 impl ManualClock {
     /// A clock frozen at zero.
     pub fn new() -> Self {
-        ManualClock::default()
-    }
-
-    /// Advances the clock by `ns` nanoseconds.
-    pub fn advance(&self, ns: u64) {
-        self.now.fetch_add(ns, Ordering::SeqCst);
-    }
-
-    /// Sets the clock to an absolute reading.
-    pub fn set(&self, ns: u64) {
-        self.now.store(ns, Ordering::SeqCst);
+        ManualClock
     }
 }
 
 impl Clock for ManualClock {
     fn now_ns(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
+        0
     }
 }
 
-/// Handle to an open span instance. `SpanId::NONE` is the identity of the
-/// no-op path: it names no span and closing it does nothing.
+/// Handle to a span path (a node of the aggregated span tree): every
+/// instance opened at the same path shares one id. `SpanId::NONE` is the
+/// tree's unreported root — the parent of root spans and the identity of
+/// the no-op path, which names no span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(u32);
 
 impl SpanId {
     /// The null span: parent of root spans, result of no-op starts.
-    pub const NONE: SpanId = SpanId(u32::MAX);
+    pub const NONE: SpanId = SpanId(0);
 
     /// True for [`SpanId::NONE`].
     pub fn is_none(self) -> bool {
@@ -124,6 +117,13 @@ pub trait Recorder: Sync {
         false
     }
 
+    /// The clock [`Span`]s on this recorder are timed by; the process-wide
+    /// [`MonotonicClock`] unless the recorder was given one.
+    fn clock(&self) -> &dyn Clock {
+        static PROCESS_CLOCK: OnceLock<MonotonicClock> = OnceLock::new();
+        PROCESS_CLOCK.get_or_init(MonotonicClock::new)
+    }
+
     /// Opens a span named `name` under `parent` (use [`SpanId::NONE`]
     /// for a root span). Returns the handle to close it with.
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
@@ -131,11 +131,12 @@ pub trait Recorder: Sync {
         SpanId::NONE
     }
 
-    /// Closes a span previously returned by
-    /// [`span_start`](Recorder::span_start). Unknown or `NONE` ids are
-    /// ignored.
-    fn span_end(&self, id: SpanId) {
-        let _ = id;
+    /// Closes one instance of a span previously returned by
+    /// [`span_start`](Recorder::span_start) that lasted `elapsed_ns`
+    /// nanoseconds on [`clock`](Recorder::clock). Unknown ids are
+    /// ignored, and `NONE` is never reported.
+    fn span_end(&self, id: SpanId, elapsed_ns: u64) {
+        let _ = (id, elapsed_ns);
     }
 
     /// Adds `delta` to the named counter.
@@ -158,34 +159,47 @@ impl Recorder for NoopRecorder {}
 /// A `&'static` no-op recorder, handy as a default argument.
 pub static NOOP: NoopRecorder = NoopRecorder;
 
-/// RAII guard that closes its span on drop. Hierarchy is explicit:
-/// children are opened through [`Span::child`], never inferred from
-/// thread-local state, so worker threads attribute spans correctly.
+/// RAII guard that times one span instance on its recorder's clock and
+/// closes it on drop (or explicitly through [`Span::finish`]). Hierarchy
+/// is explicit: children are opened through [`Span::child`], never
+/// inferred from thread-local state, so worker threads attribute spans
+/// correctly.
 pub struct Span<'r> {
     rec: &'r dyn Recorder,
     id: SpanId,
+    start_ns: u64,
 }
 
 impl<'r> Span<'r> {
-    /// Opens a root span on `rec`.
-    pub fn root(rec: &'r dyn Recorder, name: &'static str) -> Span<'r> {
+    fn open(rec: &'r dyn Recorder, name: &'static str, parent: SpanId) -> Span<'r> {
+        let id = rec.span_start(name, parent);
         Span {
             rec,
-            id: rec.span_start(name, SpanId::NONE),
+            id,
+            start_ns: rec.clock().now_ns(),
         }
+    }
+
+    /// Opens a root span on `rec`.
+    pub fn root(rec: &'r dyn Recorder, name: &'static str) -> Span<'r> {
+        Span::open(rec, name, SpanId::NONE)
     }
 
     /// Opens a child span under this one.
     pub fn child(&self, name: &'static str) -> Span<'r> {
-        Span {
-            rec: self.rec,
-            id: self.rec.span_start(name, self.id),
-        }
+        Span::open(self.rec, name, self.id)
     }
 
-    /// The recorder this span reports to.
-    pub fn recorder(&self) -> &'r dyn Recorder {
-        self.rec
+    /// Closes the span and returns its duration in nanoseconds — the same
+    /// value the recorder aggregates.
+    pub fn finish(self) -> u64 {
+        std::mem::ManuallyDrop::new(self).close()
+    }
+
+    fn close(&self) -> u64 {
+        let elapsed_ns = self.rec.clock().now_ns().saturating_sub(self.start_ns);
+        self.rec.span_end(self.id, elapsed_ns);
+        elapsed_ns
     }
 
     /// The underlying instance id (for handing to lower layers).
@@ -196,7 +210,7 @@ impl<'r> Span<'r> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        self.rec.span_end(self.id);
+        self.close();
     }
 }
 
@@ -460,27 +474,18 @@ struct SpanNode {
     total_ns: u64,
 }
 
-/// An open span instance.
-#[derive(Clone, Copy, Debug)]
-struct ActiveSpan {
-    node: usize,
-    start_ns: u64,
-}
-
 #[derive(Debug)]
 struct Inner {
-    /// `nodes[0]` is the synthetic root (never reported).
+    /// `nodes[0]` is the synthetic root [`SpanId::NONE`] (never
+    /// reported); a [`SpanId`] is an index into this list.
     nodes: Vec<SpanNode>,
-    /// Slab of open instances; freed slots are recycled via `free`.
-    active: Vec<Option<ActiveSpan>>,
-    free: Vec<usize>,
     counters: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
 /// Thread-safe collecting recorder: one mutex guards the whole state, so
 /// it can be shared by reference across the `chunked_*_with` scoped
-/// workers. Span durations come from the injected [`Clock`].
+/// workers. Spans on it are timed by the injected [`Clock`].
 pub struct CollectingRecorder {
     clock: Box<dyn Clock>,
     inner: Mutex<Inner>,
@@ -516,8 +521,6 @@ impl CollectingRecorder {
                     calls: 0,
                     total_ns: 0,
                 }],
-                active: Vec::new(),
-                free: Vec::new(),
                 counters: BTreeMap::new(),
                 histograms: BTreeMap::new(),
             }),
@@ -534,7 +537,7 @@ impl CollectingRecorder {
     /// not reentrant, so a nested acquisition on the same thread
     /// deadlocks. Every caller (`report`, `span_start`, `span_end`,
     /// `add`, `observe`) only touches plain `Inner` data under the
-    /// guard; clock reads happen *before* locking for the same reason.
+    /// guard; spans read the clock outside the lock for the same reason.
     fn locked(&self) -> MutexGuard<'_, Inner> {
         match self.inner.lock() {
             Ok(g) => g,
@@ -610,19 +613,13 @@ impl Recorder for CollectingRecorder {
         true
     }
 
+    fn clock(&self) -> &dyn Clock {
+        &*self.clock
+    }
+
     fn span_start(&self, name: &'static str, parent: SpanId) -> SpanId {
-        let start_ns = self.clock.now_ns();
         let mut inner = self.locked();
-        let parent_node = if parent.is_none() {
-            0
-        } else {
-            match inner.active.get(parent.0 as usize).copied().flatten() {
-                Some(a) => a.node,
-                // Unknown parent (already closed): attach to the root
-                // rather than dropping the observation.
-                None => 0,
-            }
-        };
+        let parent_node = parent.0 as usize;
         let node = match inner.nodes[parent_node].children.get(name) {
             Some(&idx) => idx,
             None => {
@@ -637,33 +634,15 @@ impl Recorder for CollectingRecorder {
                 idx
             }
         };
-        let slot = match inner.free.pop() {
-            Some(s) => {
-                inner.active[s] = Some(ActiveSpan { node, start_ns });
-                s
-            }
-            None => {
-                inner.active.push(Some(ActiveSpan { node, start_ns }));
-                inner.active.len() - 1
-            }
-        };
-        // Slab indices stay tiny (bounded by concurrently-open spans),
-        // far below the u32::MAX sentinel.
-        SpanId(slot as u32)
+        // Node indices stay tiny (bounded by the distinct span paths).
+        SpanId(node as u32)
     }
 
-    fn span_end(&self, id: SpanId) {
-        if id.is_none() {
-            return;
-        }
-        let end_ns = self.clock.now_ns();
+    fn span_end(&self, id: SpanId, elapsed_ns: u64) {
         let mut inner = self.locked();
-        let slot = id.0 as usize;
-        if let Some(open) = inner.active.get_mut(slot).and_then(Option::take) {
-            inner.free.push(slot);
-            let node = &mut inner.nodes[open.node];
+        if let Some(node) = inner.nodes.get_mut(id.0 as usize) {
             node.calls += 1;
-            node.total_ns += end_ns.saturating_sub(open.start_ns);
+            node.total_ns += elapsed_ns;
         }
     }
 
@@ -697,6 +676,7 @@ pub fn env_enabled() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn noop_recorder_records_nothing_and_returns_none() {
@@ -704,7 +684,7 @@ mod tests {
         assert!(!r.is_enabled());
         let id = r.span_start("x", SpanId::NONE);
         assert!(id.is_none());
-        r.span_end(id);
+        r.span_end(id, 7);
         r.add("c", 5);
         r.observe("h", 5);
     }
@@ -724,12 +704,7 @@ mod tests {
 
     #[test]
     fn spans_aggregate_by_path_with_manual_clock() {
-        let clock = Box::new(ManualClock::new());
-        // Keep a raw pointer-free handle by re-creating: drive through a
-        // shared recorder holding the clock.
-        let r = CollectingRecorder::with_clock(clock);
-        // The recorder owns the clock; use zero-duration spans plus call
-        // counts for determinism.
+        let r = CollectingRecorder::with_clock(Box::new(ManualClock::new()));
         {
             let root = Span::root(&r, "plan");
             {
@@ -769,10 +744,44 @@ mod tests {
         {
             let _s = Span::root(&r, "tick");
         }
+        // `finish` returns exactly what the recorder aggregates.
+        assert_eq!(Span::root(&r, "tick").finish(), 10);
         let rep = r.report();
         assert_eq!(rep.spans.len(), 1);
-        assert_eq!(rep.spans[0].total_ns, 10);
-        assert_eq!(rep.spans[0].calls, 1);
+        assert_eq!(rep.spans[0].total_ns, 20);
+        assert_eq!(rep.spans[0].calls, 2);
+    }
+
+    #[test]
+    fn noop_spans_time_themselves_on_the_process_clock() {
+        let before = NOOP.clock().now_ns();
+        let span = Span::root(&NOOP, "tick");
+        assert!(span.id().is_none());
+        let elapsed = span.finish();
+        assert!(elapsed <= NOOP.clock().now_ns() - before);
+    }
+
+    #[test]
+    fn same_path_spans_from_scoped_workers_aggregate() {
+        let r = CollectingRecorder::with_clock(Box::new(ManualClock::new()));
+        let root = Span::root(&r, "plan");
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..25 {
+                        let _w = root.child("work");
+                    }
+                });
+            }
+        });
+        drop(root);
+        let rep = r.report();
+        let calls: Vec<(&str, u64)> = rep
+            .spans
+            .iter()
+            .map(|s| (s.path.as_str(), s.calls))
+            .collect();
+        assert_eq!(calls, vec![("plan", 1), ("plan/work", 100)]);
     }
 
     #[test]
@@ -792,10 +801,12 @@ mod tests {
         // open spans' bookkeeping lives under.
         let mid = r.report();
         assert_eq!(mid.counter("visited"), 1);
-        r.span_end(child);
-        r.span_end(root);
+        r.span_end(child, 5);
+        r.span_end(root, 9);
         let rep = r.report();
         assert_eq!(rep.spans.len(), 2);
+        assert_eq!(rep.spans[0].total_ns, 9);
+        assert_eq!(rep.spans[1].total_ns, 5);
         assert_eq!(rep.counter("visited"), 1);
         assert_eq!(rep.histograms.len(), 1);
     }
@@ -803,8 +814,8 @@ mod tests {
     #[test]
     fn ending_unknown_or_none_span_is_ignored() {
         let r = CollectingRecorder::new();
-        r.span_end(SpanId::NONE);
-        r.span_end(SpanId(123));
+        r.span_end(SpanId::NONE, 1);
+        r.span_end(SpanId(123), 1);
         assert!(r.report().spans.is_empty());
     }
 

@@ -81,13 +81,11 @@ fn exact_backend_dominates_greedy_on_small_instances() {
         let exact = Alg1Planner::new(Alg1Config {
             delta: 60.0,
             backend: Backend::Exact,
-            ..Alg1Config::default()
         })
         .plan(&s);
         let greedy = Alg1Planner::new(Alg1Config {
             delta: 60.0,
             backend: Backend::Greedy,
-            ..Alg1Config::default()
         })
         .plan(&s);
         assert!(
