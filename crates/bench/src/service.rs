@@ -5,13 +5,14 @@
 //! scale), a battery capacity, an algorithm, and an engine. [`run_batch`]
 //! executes a whole batch with the `chunked_map_with` helpers from
 //! `uavdc-core` and reuses the capacity-independent setup work across
-//! requests through two [`ArtifactCache`]s keyed by
-//! [`Scenario::layout_fingerprint`]-derived hashes:
+//! requests through two [`ArtifactCache`]s. Within a batch the request's
+//! generator seed names its scenario exactly, so the keys are exact
+//! identities rather than hashes:
 //!
-//! * built **and pruned** [`CandidateSet`]s, keyed by (layout, `δ`) —
-//!   shared by Algorithm 2 and Algorithm 3 requests;
+//! * built **and pruned** [`CandidateSet`]s, keyed by (seed, bits of
+//!   `δ`) — shared by Algorithm 2 and Algorithm 3 requests;
 //! * [`BenchmarkSetup`]s (coverage lists + the initial Christofides
-//!   tour), keyed by layout — shared by benchmark requests.
+//!   tour), keyed by seed — shared by benchmark requests.
 //!
 //! The cache is *invisible* to plan output: artifacts are exactly what
 //! the cold path would rebuild, and the planners' `plan_prepared_obs`
@@ -34,7 +35,7 @@
 //! planners' own set-up and loop spans), both carried in a `uavdc-obs`
 //! [`RunReport`] alongside the deterministic `service.*` counters.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
 use uavdc_core::cache::ArtifactCache;
@@ -176,30 +177,6 @@ pub struct BatchReport {
     pub report: RunReport,
 }
 
-/// Cache key of a pruned candidate set: instance layout × grid edge.
-fn candidate_key(layout_fp: u64, delta: f64) -> u64 {
-    fnv_words(&[layout_fp, delta.to_bits(), 0xca4d])
-}
-
-/// Cache key of a benchmark setup: instance layout only.
-fn benchmark_key(layout_fp: u64) -> u64 {
-    fnv_words(&[layout_fp, 0xbe4c])
-}
-
-/// FNV-1a over a word sequence (the workspace's fingerprint primitive).
-fn fnv_words(words: &[u64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &word in words {
-        for byte in word.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
 /// Runs one request against its base scenario and (possibly cached)
 /// setup artifacts. `cand`/`bench` are `None` on a cache miss or in cold
 /// mode — the planner then rebuilds setup itself, which is the same
@@ -259,67 +236,50 @@ pub fn run_batch(cfg: &ServiceConfig, requests: &[PlanRequest]) -> BatchReport {
     // Phase 1: distinct base scenarios (capacity is applied per request,
     // so one scenario per seed suffices).
     let seeds: Vec<u64> = {
-        let set: std::collections::BTreeSet<u64> = requests.iter().map(|r| r.seed).collect();
+        let set: BTreeSet<u64> = requests.iter().map(|r| r.seed).collect();
         set.into_iter().collect()
     };
     let built = chunked_map_with(&seeds, threads, |&seed| Arc::new(uniform(&params, seed)));
     let scenarios: BTreeMap<u64, Arc<Scenario>> = seeds.iter().copied().zip(built).collect();
-    let layout_of: BTreeMap<u64, u64> = scenarios
-        .iter()
-        .map(|(&seed, s)| (seed, s.layout_fingerprint()))
-        .collect();
 
     // Phase 2: warm the artifact caches with every key the batch needs,
     // building distinct artifacts in parallel and publishing them from
     // this coordinator thread in deterministic key order.
-    let cand_cache: ArtifactCache<CandidateSet> = ArtifactCache::new();
-    let bench_cache: ArtifactCache<BenchmarkSetup> = ArtifactCache::new();
+    let cand_cache: ArtifactCache<(u64, u64), CandidateSet> = ArtifactCache::new();
+    let bench_cache: ArtifactCache<u64, BenchmarkSetup> = ArtifactCache::new();
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
     if cfg.reuse_artifacts {
-        let mut cand_jobs: BTreeMap<u64, (u64, f64)> = BTreeMap::new();
-        let mut bench_jobs: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut cand_jobs: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut bench_jobs: BTreeSet<u64> = BTreeSet::new();
         for req in requests {
-            let Some(&layout) = layout_of.get(&req.seed) else {
-                continue; // unreachable: layout_of covers every request seed
+            let fresh = match req.algorithm.delta() {
+                Some(delta) => cand_jobs.insert((req.seed, delta.to_bits())),
+                None => bench_jobs.insert(req.seed),
             };
-            match req.algorithm.delta() {
-                Some(delta) => {
-                    let key = candidate_key(layout, delta);
-                    if cand_jobs.insert(key, (req.seed, delta)).is_some() {
-                        cache_hits += 1;
-                    }
-                }
-                None => {
-                    let key = benchmark_key(layout);
-                    if bench_jobs.insert(key, req.seed).is_some() {
-                        cache_hits += 1;
-                    }
-                }
+            if !fresh {
+                cache_hits += 1;
             }
         }
         cache_misses = (cand_jobs.len() + bench_jobs.len()) as u64;
-        let cand_list: Vec<(u64, u64, f64)> = cand_jobs
-            .into_iter()
-            .map(|(key, (seed, delta))| (key, seed, delta))
-            .collect();
-        let cand_built = chunked_map_with(&cand_list, threads, |&(_, seed, delta)| {
+        let cand_list: Vec<(u64, u64)> = cand_jobs.into_iter().collect();
+        let cand_built = chunked_map_with(&cand_list, threads, |&(seed, delta_bits)| {
             scenarios
                 .get(&seed)
-                .map(|s| CandidateSet::build_pruned(s, delta))
+                .map(|s| CandidateSet::build_pruned(s, f64::from_bits(delta_bits)))
         });
-        for ((key, _, _), artifact) in cand_list.iter().zip(cand_built) {
+        for (&key, artifact) in cand_list.iter().zip(cand_built) {
             if let Some(a) = artifact {
-                cand_cache.insert(*key, a);
+                cand_cache.insert(key, a);
             }
         }
-        let bench_list: Vec<(u64, u64)> = bench_jobs.into_iter().collect();
-        let bench_built = chunked_map_with(&bench_list, threads, |&(_, seed)| {
-            scenarios.get(&seed).map(|s| BenchmarkSetup::build(s))
+        let bench_list: Vec<u64> = bench_jobs.into_iter().collect();
+        let bench_built = chunked_map_with(&bench_list, threads, |seed| {
+            scenarios.get(seed).map(|s| BenchmarkSetup::build(s))
         });
-        for ((key, _), artifact) in bench_list.iter().zip(bench_built) {
+        for (&key, artifact) in bench_list.iter().zip(bench_built) {
             if let Some(a) = artifact {
-                bench_cache.insert(*key, a);
+                bench_cache.insert(key, a);
             }
         }
     }
@@ -337,11 +297,10 @@ pub fn run_batch(cfg: &ServiceConfig, requests: &[PlanRequest]) -> BatchReport {
                 &fallback
             }
         };
-        let layout = base.layout_fingerprint();
         match req.algorithm.delta() {
             Some(delta) => {
                 let local;
-                let cand = match cand_cache.get(candidate_key(layout, delta)) {
+                let cand = match cand_cache.get(&(req.seed, delta.to_bits())) {
                     Some(a) => a,
                     None => {
                         local = Arc::new(CandidateSet::build_pruned(base, delta));
@@ -352,7 +311,7 @@ pub fn run_batch(cfg: &ServiceConfig, requests: &[PlanRequest]) -> BatchReport {
             }
             None => {
                 let local;
-                let bench = match bench_cache.get(benchmark_key(layout)) {
+                let bench = match bench_cache.get(&req.seed) {
                     Some(a) => a,
                     None => {
                         local = Arc::new(BenchmarkSetup::build(base));

@@ -44,6 +44,7 @@ use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
+use uavdc_graph::improve::two_opt_by;
 use uavdc_graph::incremental::{
     cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
 };
@@ -245,7 +246,7 @@ impl<'a> GreedyState<'a> {
             }
             None => {
                 rec.add("alg2.christofides_retours", 1);
-                let order = crate::tourutil::christofides_order_obs(&self.tour_pts, rec);
+                let order = crate::tourutil::christofides_order(&self.tour_pts, rec);
                 self.tour_pts = crate::tourutil::apply_order(&self.tour_pts, &order);
                 self.stop_of = crate::tourutil::apply_order(&self.stop_of, &order);
             }
@@ -299,13 +300,13 @@ impl<'a> GreedyState<'a> {
         if self.tour_pts.len() < 4 {
             return false;
         }
-        let paired: Vec<(Point2, usize)> = self
+        let mut paired: Vec<(Point2, usize)> = self
             .tour_pts
             .iter()
             .copied()
             .zip(self.stop_of.iter().copied())
             .collect();
-        let (paired, changed) = two_opt_paired(paired);
+        let changed = two_opt_by(&mut paired, 100, |a, b| a.0.distance(b.0)) > 0.0;
         self.tour_pts = paired.iter().map(|p| p.0).collect();
         self.stop_of = paired.iter().map(|p| p.1).collect();
         self.tour_len = closed_tour_length(&self.tour_pts);
@@ -323,39 +324,6 @@ impl<'a> GreedyState<'a> {
         }
         CollectionPlan { stops: ordered }
     }
-}
-
-/// 2-opt where each tour element carries a payload that must move with
-/// its point. Index 0 (depot) stays first. Also reports whether any
-/// improving swap was applied.
-fn two_opt_paired(mut paired: Vec<(Point2, usize)>) -> (Vec<(Point2, usize)>, bool) {
-    let n = paired.len();
-    if n < 4 {
-        return (paired, false);
-    }
-    let mut changed = false;
-    let mut improved = true;
-    let mut sweeps = 0;
-    while improved && sweeps < 100 {
-        improved = false;
-        sweeps += 1;
-        for i in 0..n - 1 {
-            for j in (i + 2)..n {
-                if i == 0 && j == n - 1 {
-                    continue;
-                }
-                let (a, b) = (paired[i].0, paired[i + 1].0);
-                let (c, d) = (paired[j].0, paired[(j + 1) % n].0);
-                let delta = a.distance(c) + b.distance(d) - a.distance(b) - c.distance(d);
-                if delta < -1e-10 {
-                    paired[i + 1..=j].reverse();
-                    improved = true;
-                    changed = true;
-                }
-            }
-        }
-    }
-    (paired, changed)
 }
 
 /// The exhaustive engines' ratio comparator (deterministic tie-break on
@@ -418,7 +386,7 @@ fn run_exhaustive(
 /// Runs the PaperChristofides greedy loop: every candidate is scored by a
 /// full re-tour of the stop set with the candidate included, exactly as
 /// Algorithm 2 is written. With [`Alg2Config::speculative_cache`] the
-/// per-candidate rebuilds run as [`IncrementalTour::speculative_order_obs`]
+/// per-candidate rebuilds run as [`IncrementalTour::speculative_order`]
 /// (cached distance matrix, memoised odd-vertex matching) and the winning
 /// order is reused at commit; both paths produce bit-identical plans
 /// (differential-tested in `tests/alg2_incremental_equivalence.rs`).
@@ -453,9 +421,9 @@ fn run_paper(
             let mut pts = state.tour_pts.clone();
             pts.push(cand_pos);
             let order = if config.speculative_cache {
-                inc.speculative_order_obs((cand_pos.x, cand_pos.y), rec)
+                inc.speculative_order((cand_pos.x, cand_pos.y), rec)
             } else {
-                crate::tourutil::christofides_order_obs(&pts, rec)
+                crate::tourutil::christofides_order(&pts, rec)
             };
             let new_len = closed_tour_length(&crate::tourutil::apply_order(&pts, &order));
             let delta_len = (new_len - state.tour_len).max(0.0);

@@ -16,7 +16,7 @@
 
 use crate::greedy::{EngineMode, EvalCounters, PlanStats};
 use crate::plan::{CollectionPlan, HoverStop};
-use crate::tourutil::{apply_order, christofides_order_obs, closed_tour_length, removal_delta};
+use crate::tourutil::{apply_order, christofides_order, closed_tour_length, removal_delta};
 use crate::Planner;
 use uavdc_geom::{Point2, SpatialGrid};
 use uavdc_net::units::Seconds;
@@ -33,8 +33,8 @@ pub struct BenchmarkPlanner;
 /// coverage lists plus the initial Christofides tour over depot + all
 /// devices. Depends only on the scenario *layout* (positions, coverage
 /// radius), never on the battery, so capacity sweeps over one instance
-/// can share it through `uavdc-bench`'s artifact cache (keyed by
-/// `Scenario::layout_fingerprint`).
+/// can share it through `uavdc-bench`'s artifact cache (keyed by the
+/// request's generator seed).
 #[derive(Clone, Debug)]
 pub struct BenchmarkSetup {
     /// Devices within `R0` of each device's position (by device index).
@@ -74,7 +74,7 @@ impl BenchmarkSetup {
         let mut pts: Vec<Point2> = Vec::with_capacity(n + 1);
         pts.push(scenario.depot);
         pts.extend(positions.iter().copied());
-        let order = christofides_order_obs(&pts, rec);
+        let order = christofides_order(&pts, rec);
         let pts = apply_order(&pts, &order);
         let dev_of: Vec<usize> = order
             .iter()

@@ -29,18 +29,19 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A keyed store of shared planner artifacts.
 ///
-/// Keys are caller-computed 64-bit fingerprints (see
-/// `Scenario::layout_fingerprint` in `uavdc-net` and the composed keys in
-/// `uavdc-bench::service`); values are handed out as [`Arc`] clones, so a
-/// hit costs one lock plus one reference-count bump.
+/// Keys are exact identities chosen by the caller (`uavdc-bench::service`
+/// keys by generator seed, and by seed × the bits of `δ`), never lossy
+/// hashes: two keys that compare equal name the same instance, so a hit
+/// can never serve another instance's artifact. Values are handed out as
+/// [`Arc`] clones, so a hit costs one lock plus one reference-count bump.
 #[derive(Debug, Default)]
-pub struct ArtifactCache<T> {
+pub struct ArtifactCache<K: Ord, T> {
     /// `BTreeMap`, not `HashMap`: iteration (and therefore any report
     /// derived from it) is key-ordered and deterministic.
-    entries: Mutex<BTreeMap<u64, Arc<T>>>,
+    entries: Mutex<BTreeMap<K, Arc<T>>>,
 }
 
-impl<T> ArtifactCache<T> {
+impl<K: Ord, T> ArtifactCache<K, T> {
     /// An empty cache.
     pub fn new() -> Self {
         ArtifactCache {
@@ -57,7 +58,7 @@ impl<T> ArtifactCache<T> {
     /// `locked()`-taking method while holding this guard, and no planner
     /// code runs under it — every critical section is a single map
     /// operation.
-    fn locked(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<T>>> {
+    fn locked(&self) -> MutexGuard<'_, BTreeMap<K, Arc<T>>> {
         match self.entries.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
@@ -65,15 +66,15 @@ impl<T> ArtifactCache<T> {
     }
 
     /// The artifact under `key`, if already published.
-    pub fn get(&self, key: u64) -> Option<Arc<T>> {
-        self.locked().get(&key).cloned()
+    pub fn get(&self, key: &K) -> Option<Arc<T>> {
+        self.locked().get(key).cloned()
     }
 
     /// Publishes `value` under `key` and returns the artifact every
     /// reader of `key` will see from now on — the *existing* one when the
     /// key was already present (first writer wins), so concurrent
     /// duplicate builds converge on a single shared value.
-    pub fn insert(&self, key: u64, value: T) -> Arc<T> {
+    pub fn insert(&self, key: K, value: T) -> Arc<T> {
         let mut map = self.locked();
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(value)))
     }
@@ -89,13 +90,16 @@ impl<T> ArtifactCache<T> {
     }
 
     /// Keys currently published, in ascending order (deterministic).
-    pub fn keys(&self) -> Vec<u64> {
-        self.locked().keys().copied().collect()
+    pub fn keys(&self) -> Vec<K>
+    where
+        K: Clone,
+    {
+        self.locked().keys().cloned().collect()
     }
 
-    /// Drops every artifact (invalidation is whole-cache: keys are
-    /// content fingerprints, so a changed instance *is* a new key and
-    /// stale entries are merely unused memory, never wrong answers).
+    /// Drops every artifact (invalidation is whole-cache: a key names its
+    /// instance exactly, so a changed instance *is* a new key and stale
+    /// entries are merely unused memory, never wrong answers).
     pub fn clear(&self) {
         self.locked().clear();
     }
@@ -109,11 +113,11 @@ mod tests {
     fn insert_then_get_round_trips() {
         let cache = ArtifactCache::new();
         assert!(cache.is_empty());
-        assert!(cache.get(7).is_none());
+        assert!(cache.get(&7).is_none());
         let a = cache.insert(7, vec![1, 2, 3]);
         assert_eq!(*a, vec![1, 2, 3]);
         assert_eq!(cache.len(), 1);
-        let b = cache.get(7).expect("published");
+        let b = cache.get(&7).expect("published");
         assert!(Arc::ptr_eq(&a, &b), "hits share one allocation");
     }
 
@@ -139,6 +143,24 @@ mod tests {
     }
 
     #[test]
+    fn composite_keys_compare_every_component() {
+        // Keys shaped like the service's candidate key: (seed, δ bits).
+        let cache = ArtifactCache::new();
+        let a = cache.insert((3u64, 10.0f64.to_bits()), "seed 3, 10 m");
+        cache.insert((3, 30.0f64.to_bits()), "seed 3, 30 m");
+        cache.insert((4, 10.0f64.to_bits()), "seed 4, 10 m");
+        assert_eq!(
+            cache.len(),
+            3,
+            "keys differing in one component are distinct"
+        );
+        let hit = cache.get(&(3, 10.0f64.to_bits())).expect("published");
+        assert!(Arc::ptr_eq(&a, &hit));
+        assert!(cache.get(&(3, 20.0f64.to_bits())).is_none());
+        assert!(cache.get(&(5, 10.0f64.to_bits())).is_none());
+    }
+
+    #[test]
     fn concurrent_readers_and_writers_converge() {
         let cache = ArtifactCache::new();
         std::thread::scope(|scope| {
@@ -155,7 +177,7 @@ mod tests {
         });
         assert_eq!(cache.len(), 32);
         for k in 0..32u64 {
-            assert_eq!(*cache.get(k).expect("published"), k * 10);
+            assert_eq!(*cache.get(&k).expect("published"), k * 10);
         }
     }
 }

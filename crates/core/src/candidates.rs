@@ -96,10 +96,10 @@ impl CandidateSet {
     ///
     /// A `prepared` set handed to a planner's `plan_prepared` must equal
     /// this set for the planner's scenario layout and `δ`, which is what
-    /// `uavdc-bench`'s artifact cache guarantees by keying on the layout
-    /// fingerprint and `δ`. Cold and prepared runs then share every
-    /// instruction after set-up, so plans and counters are bit-identical
-    /// (property-tested in
+    /// `uavdc-bench`'s artifact cache guarantees by keying on the
+    /// request's generator seed and the bits of `δ`. Cold and prepared
+    /// runs then share every instruction after set-up, so plans and
+    /// counters are bit-identical (property-tested in
     /// `uavdc-bench/tests/service_cache_invisibility.rs`).
     pub fn build_pruned(scenario: &Scenario, delta: f64) -> Self {
         let mut c = CandidateSet::build(scenario, delta);

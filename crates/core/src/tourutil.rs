@@ -58,15 +58,8 @@ pub fn removal_delta(pts: &[Point2], idx: usize) -> f64 {
 /// Re-orders a closed point tour with Christofides (plus 2-opt polish) and
 /// returns the permutation applied: `perm[k]` is the old index of the
 /// point now at position `k`. The depot (old index 0) stays at position 0.
-// Outside tests the planners thread a recorder through the obs variant.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn christofides_order(pts: &[Point2]) -> Vec<usize> {
-    christofides_order_obs(pts, &uavdc_obs::NOOP)
-}
-
-/// Like [`christofides_order`], forwarding the underlying Christofides
-/// call statistics (`christofides.*`) to `rec`.
-pub fn christofides_order_obs(pts: &[Point2], rec: &dyn uavdc_obs::Recorder) -> Vec<usize> {
+/// The Christofides call statistics (`christofides.*`) go to `rec`.
+pub fn christofides_order(pts: &[Point2], rec: &dyn uavdc_obs::Recorder) -> Vec<usize> {
     let n = pts.len();
     if n <= 3 {
         return (0..n).collect();
@@ -133,7 +126,7 @@ mod tests {
         let pts: Vec<Point2> = (0..12)
             .map(|i| Point2::new((i * 37 % 50) as f64, (i * 13 % 50) as f64))
             .collect();
-        let order = christofides_order(&pts);
+        let order = christofides_order(&pts, &uavdc_obs::NOOP);
         assert_eq!(order[0], 0);
         let mut sorted = order.clone();
         sorted.sort_unstable();

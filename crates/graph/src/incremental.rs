@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 
 use crate::christofides::christofides_obs;
 use crate::euler::{euler_circuit, shortcut_circuit};
-use crate::improve::{or_opt, two_opt};
+use crate::improve::{or_opt, two_opt, two_opt_by};
 use crate::matching::min_weight_perfect_matching;
 use crate::mst::{odd_degree_vertices, prim_mst};
 use crate::{DistMatrix, Tour};
@@ -256,48 +256,21 @@ impl IncrementalTour {
         self.counters.tour_patches += 1;
     }
 
-    /// 2-opt compaction over the cached matrix: same sweep schedule,
-    /// improvement threshold (`delta < -1e-10`), 100-sweep cap and
-    /// depot-anchored edge skip as the planners' paired 2-opt, with every
-    /// distance read from the cache. Returns `Some(perm)` — `perm[k]` is
-    /// the previous position of the stop now at `k` — when the tour
-    /// changed (counted as one patch), `None` otherwise.
+    /// 2-opt compaction over the cached matrix: [`two_opt_by`] with a
+    /// 100-sweep cap over `(id, previous position)` pairs, every distance
+    /// read from the cache — the planners' paired 2-opt. Returns
+    /// `Some(perm)` — `perm[k]` is the previous position of the stop now
+    /// at `k` — when the tour changed (counted as one patch), `None`
+    /// otherwise.
     pub fn two_opt_compact(&mut self) -> Option<Vec<usize>> {
-        let n = self.order.len();
-        if n < 4 {
+        let mut pairs: Vec<(usize, usize)> = self.order.iter().copied().zip(0..).collect();
+        if two_opt_by(&mut pairs, 100, |a, b| self.cost(a.0, b.0)) <= 0.0 {
             return None;
         }
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut changed = false;
-        let mut improved = true;
-        let mut sweeps = 0;
-        while improved && sweeps < 100 {
-            improved = false;
-            sweeps += 1;
-            for i in 0..n - 1 {
-                for j in (i + 2)..n {
-                    if i == 0 && j == n - 1 {
-                        continue;
-                    }
-                    let (a, b) = (self.order[i], self.order[i + 1]);
-                    let (c, d) = (self.order[j], self.order[(j + 1) % n]);
-                    let delta =
-                        self.cost(a, c) + self.cost(b, d) - self.cost(a, b) - self.cost(c, d);
-                    if delta < -1e-10 {
-                        self.order[i + 1..=j].reverse();
-                        perm[i + 1..=j].reverse();
-                        improved = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return None;
-        }
+        self.order = pairs.iter().map(|p| p.0).collect();
         self.rebuild_edges();
         self.counters.tour_patches += 1;
-        Some(perm)
+        Some(pairs.into_iter().map(|p| p.1).collect())
     }
 
     /// One Or-opt pass (segment relocation, lengths 1–3) over the cached
@@ -330,12 +303,6 @@ impl IncrementalTour {
     /// recomputations and the pipeline is deterministic, memo hits
     /// included (`tests/incremental_props.rs` proves this per seed).
     pub fn retour(&mut self) -> Vec<usize> {
-        self.retour_obs(&uavdc_obs::NOOP)
-    }
-
-    /// Like [`IncrementalTour::retour`], forwarding the Christofides call
-    /// statistics (`christofides.*`) to `rec`.
-    pub fn retour_obs(&mut self, rec: &dyn Recorder) -> Vec<usize> {
         self.counters.full_retours += 1;
         let n = self.order.len();
         if n <= 3 {
@@ -343,7 +310,7 @@ impl IncrementalTour {
         }
         let m = DistMatrix::from_fn(n, |i, j| self.cost(self.order[i], self.order[j]));
         let ids: Vec<Option<usize>> = self.order.iter().map(|&id| Some(id)).collect();
-        let perm = christofides_order_cached(&m, &ids, &mut self.matching_memo, rec);
+        let perm = christofides_order_cached(&m, &ids, &mut self.matching_memo, &uavdc_obs::NOOP);
         self.order = perm.iter().map(|&k| self.order[k]).collect();
         self.rebuild_edges();
         perm
@@ -356,13 +323,8 @@ impl IncrementalTour {
     /// a from-scratch Christofides over the same point sequence. The base
     /// distance block comes from the cache and the odd-vertex matching
     /// memo is consulted whenever the odd set avoids the phantom stop.
-    pub fn speculative_order(&mut self, p: (f64, f64)) -> Vec<usize> {
-        self.speculative_order_obs(p, &uavdc_obs::NOOP)
-    }
-
-    /// Like [`IncrementalTour::speculative_order`], forwarding the
-    /// Christofides call statistics to `rec`.
-    pub fn speculative_order_obs(&mut self, p: (f64, f64), rec: &dyn Recorder) -> Vec<usize> {
+    /// The Christofides call statistics (`christofides.*`) go to `rec`.
+    pub fn speculative_order(&mut self, p: (f64, f64), rec: &dyn Recorder) -> Vec<usize> {
         self.counters.full_retours += 1;
         let n = self.order.len();
         let n1 = n + 1;
@@ -697,11 +659,19 @@ mod tests {
             .into_iter()
             .zip(t.order().iter().copied())
             .collect();
+        let (pts, ids): (Vec<Point2>, Vec<usize>) = before.iter().copied().unzip();
         let (want, want_changed) = two_opt_paired(before);
+        let want_ids: Vec<usize> = want.iter().map(|e| e.1).collect();
+        // The matrix-based 2-opt on the same points walks the same moves.
+        let m = DistMatrix::from_fn(pts.len(), |i, j| pts[i].distance(pts[j]));
+        let mut tour = Tour::new((0..pts.len()).collect());
+        let saved = two_opt(&mut tour, &m);
+        assert_eq!(saved > 0.0, want_changed);
+        let via_matrix: Vec<usize> = tour.order().iter().map(|&k| ids[k]).collect();
+        assert_eq!(via_matrix, want_ids, "improve::two_opt order diverged");
         let got_perm = t.two_opt_compact();
         assert_eq!(got_perm.is_some(), want_changed);
         let got: Vec<usize> = t.order().to_vec();
-        let want_ids: Vec<usize> = want.iter().map(|e| e.1).collect();
         assert_eq!(got, want_ids, "2-opt result order diverged");
         assert_eq!(
             t.total_cost().to_bits(),
@@ -753,8 +723,8 @@ mod tests {
         }
         // Warm `a`'s memo with an identical speculative run, then compare
         // a memo-hit retour against `b`'s cold retour.
-        let spec = a.speculative_order((60.0, 60.0));
-        let spec2 = a.speculative_order((60.0, 60.0));
+        let spec = a.speculative_order((60.0, 60.0), &uavdc_obs::NOOP);
+        let spec2 = a.speculative_order((60.0, 60.0), &uavdc_obs::NOOP);
         assert_eq!(spec, spec2, "speculative scoring must be deterministic");
         let pa = a.retour();
         let pb = b.retour();

@@ -10,11 +10,13 @@
 //!   ([`matching::min_weight_perfect_matching`], exact DP for small
 //!   instances, an O(n³) blossom algorithm in general, plus a fast greedy
 //!   mode), and a Hierholzer Euler circuit ([`euler::euler_circuit`]).
-//! * **Tour construction heuristics** — nearest neighbour and cheapest
-//!   insertion ([`construction`]), the latter also exposing the O(n)
-//!   *insertion delta* used by the fast candidate-ranking mode of
-//!   Algorithm 2.
 //! * **Tour improvement** — 2-opt and Or-opt local search ([`improve`]).
+//!   One 2-opt sweep, [`improve::two_opt_by`], serves every tour in the
+//!   workspace: matrix tours, the incremental tour's cached distances,
+//!   Algorithm 2's point tours and the orienteering solvers.
+//! * **Incremental tours** — [`incremental::IncrementalTour`] patches a
+//!   Christofides tour under single-stop insertion and removal, with the
+//!   cached insertion kernels Algorithm 2's engines scan.
 //! * **Exact TSP** — Held–Karp dynamic programming for small instances
 //!   ([`exact::held_karp`]), used as ground truth in tests and for tiny
 //!   tours inside the planners.
@@ -40,7 +42,6 @@
 
 pub mod bound;
 pub mod christofides;
-pub mod construction;
 pub mod euler;
 pub mod exact;
 pub mod improve;

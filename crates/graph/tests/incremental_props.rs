@@ -206,8 +206,8 @@ proptest! {
         // Memo-warmed twin: speculative scoring fills the matching memo
         // (and must itself be deterministic).
         let mut warm = t.clone();
-        let s1 = warm.speculative_order(phantom);
-        let s2 = warm.speculative_order(phantom);
+        let s1 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
+        let s2 = warm.speculative_order(phantom, &uavdc_obs::NOOP);
         prop_assert_eq!(&s1, &s2, "speculative scoring must be deterministic");
         // History-free twin: same point sequence, contiguous ids, no
         // removed-stop ghosts, cold memo.
@@ -240,7 +240,7 @@ proptest! {
     fn speculative_order_matches_commit(h in history(), phantom in qpoint()) {
         let (depot, seed, ops) = h;
         let (mut t, _) = drive(depot, &seed, &ops);
-        let spec = t.speculative_order(phantom);
+        let spec = t.speculative_order(phantom, &uavdc_obs::NOOP);
         let mut all = pts_of(&t);
         all.push(Point2::new(phantom.0, phantom.1));
         prop_assert_eq!(&spec, &scratch_order(&all), "speculative vs scratch diverged");

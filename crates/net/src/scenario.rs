@@ -214,50 +214,6 @@ impl Scenario {
     pub fn device_positions(&self) -> Vec<Point2> {
         self.devices.iter().map(|d| d.pos).collect()
     }
-
-    /// FNV-1a fingerprint of the instance *layout*: region, devices,
-    /// depot, radio model, and every UAV parameter **except** the battery
-    /// capacity. Each `f64` is folded in as its exact IEEE-754 bit
-    /// pattern, so two scenarios hash equal iff their layouts are
-    /// bit-identical.
-    ///
-    /// Capacity is deliberately excluded: planner setup artifacts
-    /// (candidate sets, initial tours) depend only on geometry, coverage,
-    /// and energy *rates*, so capacity sweeps over one instance can share
-    /// them (the keying contract of `uavdc-core`'s artifact cache).
-    pub fn layout_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(PRIME);
-            }
-        };
-        mix(self.region.min.x.to_bits());
-        mix(self.region.min.y.to_bits());
-        mix(self.region.max.x.to_bits());
-        mix(self.region.max.y.to_bits());
-        mix(self.depot.x.to_bits());
-        mix(self.depot.y.to_bits());
-        mix(self.radio.range.value().to_bits());
-        mix(self.radio.bandwidth.value().to_bits());
-        mix(self.uav.speed.value().to_bits());
-        mix(self.uav.hover_power.value().to_bits());
-        mix(self.uav.travel_power.value().to_bits());
-        mix(self.uav.altitude.value().to_bits());
-        // The per-metre rate actually charged, not the Option shape: two
-        // specs with the same effective rate plan identically.
-        mix(self.uav.travel_energy_per_meter().value().to_bits());
-        mix(self.devices.len() as u64);
-        for d in &self.devices {
-            mix(d.pos.x.to_bits());
-            mix(d.pos.y.to_bits());
-            mix(d.data.value().to_bits());
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -344,43 +300,6 @@ mod tests {
         let mut s = tiny_scenario();
         s.uav.altitude = Meters(30.0);
         assert!((s.coverage_radius().value() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn layout_fingerprint_ignores_capacity_only() {
-        let s = tiny_scenario();
-        let mut capped = s.clone();
-        capped.uav.capacity = Joules(9.9e5);
-        assert_eq!(
-            s.layout_fingerprint(),
-            capped.layout_fingerprint(),
-            "capacity must not enter the layout key"
-        );
-        let mut moved = s.clone();
-        moved.devices[0].pos = Point2::new(10.0, 11.0);
-        assert_ne!(s.layout_fingerprint(), moved.layout_fingerprint());
-        let mut drained = s.clone();
-        drained.devices[1].data = MegaBytes(399.0);
-        assert_ne!(s.layout_fingerprint(), drained.layout_fingerprint());
-        let mut higher = s;
-        higher.uav.altitude = Meters(30.0);
-        assert_ne!(
-            higher.layout_fingerprint(),
-            tiny_scenario().layout_fingerprint()
-        );
-    }
-
-    #[test]
-    fn layout_fingerprint_sees_effective_travel_rate() {
-        // An explicit override equal to the derived rate hashes the same;
-        // a different override hashes differently.
-        let s = tiny_scenario();
-        let mut same = s.clone();
-        same.uav.travel_energy_override = Some(s.uav.travel_energy_per_meter());
-        assert_eq!(s.layout_fingerprint(), same.layout_fingerprint());
-        let mut heavier = s.clone();
-        heavier.uav.travel_energy_override = Some(JoulesPerMeter(100.0));
-        assert_ne!(s.layout_fingerprint(), heavier.layout_fingerprint());
     }
 
     #[test]

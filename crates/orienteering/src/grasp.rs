@@ -50,17 +50,11 @@ impl GraspConfig {
 }
 
 /// GRASP/ILS solver. Always feasible; never worse than depot-only.
-// Outside tests the crate dispatches through solve_grasp_obs directly.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn solve_grasp(inst: &OrienteeringInstance, cfg: &GraspConfig) -> OrienteeringSolution {
-    solve_grasp_obs(inst, cfg, &uavdc_obs::NOOP)
-}
-
-/// Like [`solve_grasp`], reporting `grasp.iterations` (constructions run)
-/// and `grasp.improvements` (incumbent updates) to `rec`. Effort counters
+/// Reports `grasp.iterations` (constructions run) and
+/// `grasp.improvements` (incumbent updates) to `rec`. Effort counters
 /// are accumulated locally and flushed once, so the recorder adds no work
 /// to the search loop itself.
-pub fn solve_grasp_obs(
+pub fn solve_grasp(
     inst: &OrienteeringInstance,
     cfg: &GraspConfig,
     rec: &dyn uavdc_obs::Recorder,
@@ -199,8 +193,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let inst = random_instance(7, 25, 120.0);
         let cfg = GraspConfig::default();
-        let a = solve_grasp(&inst, &cfg);
-        let b = solve_grasp(&inst, &cfg);
+        let a = solve_grasp(&inst, &cfg, &uavdc_obs::NOOP);
+        let b = solve_grasp(&inst, &cfg, &uavdc_obs::NOOP);
         assert_eq!(a, b);
     }
 
@@ -214,6 +208,7 @@ mod tests {
                     seed,
                     ..GraspConfig::default()
                 },
+                &uavdc_obs::NOOP,
             );
             assert!(inst.verify(&s), "seed {seed} produced invalid solution");
         }
@@ -225,7 +220,7 @@ mod tests {
         // must match or beat plain greedy.
         let inst = random_instance(3, 20, 100.0);
         let g = solve_greedy(&inst);
-        let s = solve_grasp(&inst, &GraspConfig::default());
+        let s = solve_grasp(&inst, &GraspConfig::default(), &uavdc_obs::NOOP);
         assert!(
             s.prize >= g.prize - 1e-9,
             "grasp {} < greedy {}",
@@ -243,6 +238,7 @@ mod tests {
                 iterations: 0,
                 ..GraspConfig::default()
             },
+            &uavdc_obs::NOOP,
         );
         assert!(inst.verify(&s));
     }
@@ -256,7 +252,7 @@ mod tests {
             budget in 10.0f64..300.0,
         ) {
             let inst = random_instance(seed, n, budget);
-            let grasp = solve_grasp(&inst, &GraspConfig::default());
+            let grasp = solve_grasp(&inst, &GraspConfig::default(), &uavdc_obs::NOOP);
             prop_assert!(inst.verify(&grasp));
             let exact = solve_exact(&inst);
             prop_assert!(grasp.prize <= exact.prize + 1e-9,

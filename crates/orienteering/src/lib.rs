@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod bnb;
 mod exact;
 mod grasp;
 mod greedy;
@@ -55,20 +54,14 @@ pub use problem::{OrienteeringInstance, OrienteeringSolution};
 pub use team::{solve_team, TeamConfig, TeamSolution};
 
 /// Which solver to run.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Backend {
     /// Exact subset DP (`n <= 17`). Panics on larger instances.
     Exact,
-    /// Exact branch and bound (practical to `n ≈ 30` on Euclidean
-    /// instances; panics if its node budget is exhausted).
-    BranchAndBound,
     /// Deterministic greedy ratio insertion + 2-opt.
     Greedy,
     /// GRASP/ILS metaheuristic with the given configuration.
     Grasp(GraspConfig),
-    /// Exact for tiny instances, GRASP otherwise.
-    #[default]
-    Auto,
 }
 
 /// Solves an orienteering instance with the chosen backend.
@@ -81,7 +74,7 @@ pub fn solve(inst: &OrienteeringInstance, backend: Backend) -> OrienteeringSolut
 }
 
 /// Like [`solve`], reporting backend-specific search effort to `rec`
-/// (`grasp.iterations`/`grasp.improvements`, `bnb.nodes`/`bnb.pruned`).
+/// (`grasp.iterations`/`grasp.improvements`).
 ///
 /// The recorder never influences the search: for any `rec`, the returned
 /// solution is bit-identical to `solve(inst, backend)`.
@@ -92,16 +85,8 @@ pub fn solve_obs(
 ) -> OrienteeringSolution {
     let sol = match backend {
         Backend::Exact => exact::solve_exact(inst),
-        Backend::BranchAndBound => bnb::solve_bnb_obs(inst, rec),
         Backend::Greedy => greedy::solve_greedy(inst),
-        Backend::Grasp(cfg) => grasp::solve_grasp_obs(inst, &cfg, rec),
-        Backend::Auto => {
-            if inst.len() <= 14 {
-                exact::solve_exact(inst)
-            } else {
-                grasp::solve_grasp_obs(inst, &GraspConfig::default(), rec)
-            }
-        }
+        Backend::Grasp(cfg) => grasp::solve_grasp(inst, &cfg, rec),
     };
     debug_assert!(
         sol.cost <= inst.budget + 1e-6,
@@ -160,23 +145,14 @@ mod tests {
     #[test]
     fn large_budget_collects_everything() {
         let inst = line_instance(1000.0);
-        let s = solve(&inst, Backend::Auto);
-        assert_eq!(s.prize, 56.0);
-        assert_eq!(s.tour.len(), 5);
-    }
-
-    #[test]
-    fn auto_switches_backend_by_size() {
-        // Just exercise both paths through Auto.
-        let small = line_instance(5.0);
-        let _ = solve(&small, Backend::Auto);
-        let pts: Vec<(f64, f64)> = (0..20)
-            .map(|i| ((i * 37 % 50) as f64, (i * 13 % 50) as f64))
-            .collect();
-        let m = DistMatrix::from_euclidean(&pts);
-        let prizes = vec![1.0; 20];
-        let inst = OrienteeringInstance::new(m, prizes, 0, 60.0);
-        let s = solve(&inst, Backend::Auto);
-        assert!(s.cost <= 60.0 + 1e-9);
+        for backend in [
+            Backend::Exact,
+            Backend::Greedy,
+            Backend::Grasp(GraspConfig::default()),
+        ] {
+            let s = solve(&inst, backend);
+            assert_eq!(s.prize, 56.0, "{backend:?}");
+            assert_eq!(s.tour.len(), 5, "{backend:?}");
+        }
     }
 }
