@@ -2,12 +2,18 @@
 //!
 //! Section IV of the paper partitions the monitoring region into squares
 //! of edge `δ` and lets the UAV hover only at square centres. A square is
-//! a useful candidate only when its centre covers at least one device —
-//! with `δ = 5 m` and 500 devices that still leaves tens of thousands of
-//! candidates, so coverage sets are computed through the spatial index
-//! rather than by brute force.
+//! a useful candidate only when its centre covers at least one device.
+//! With `δ = 5 m` and 500 devices that still leaves tens of thousands of
+//! candidates, yet only a few thousand distinct coverage sets, so the sets
+//! come from one row sweep rather than one radius query per cell: each
+//! device disc cuts a chord of cells out of every grid row it reaches,
+//! the coverage set changes only at chord endpoints, and a run of equal
+//! cells costs one event. Work and memory scale with the discs, not with
+//! the area of the region.
 
-use uavdc_geom::{GridSpec, Point2, SpatialGrid};
+use std::ops::Range;
+
+use uavdc_geom::{CellId, GridSpec, Point2};
 use uavdc_net::units::{MegaBytes, Meters, Seconds};
 use uavdc_net::Scenario;
 
@@ -58,41 +64,28 @@ impl CandidateSet {
     /// # Panics
     /// Panics when `delta` is non-positive or non-finite.
     pub fn build(scenario: &Scenario, delta: f64) -> Self {
-        assert!(
-            delta.is_finite() && delta > 0.0,
-            "delta must be positive, got {delta}"
-        );
-        let r0 = scenario.coverage_radius();
         let grid = GridSpec::for_region(&scenario.region, delta);
-        let positions = scenario.device_positions();
-        // lint:allow(unit-unwrap): the geometry layer (SpatialGrid) is dimension-generic, radii in metres
-        let index = SpatialGrid::build(&positions, r0.value().max(delta));
         let mut candidates = Vec::new();
-        let mut buf = Vec::new();
-        for cell in grid.cells() {
-            let center = grid.cell_center(cell);
-            // lint:allow(unit-unwrap): the geometry layer is dimension-generic, radii in metres
-            index.query_radius_into(center, r0.value(), &mut buf);
-            if buf.is_empty() {
-                continue;
-            }
-            let mut covered: Vec<u32> = buf.iter().map(|&i| i as u32).collect();
-            covered.sort_unstable();
-            candidates.push(Candidate {
-                pos: center,
-                covered,
-            });
-        }
+        sweep_runs(scenario, &grid, |iy, columns, covered, _| {
+            candidates.extend(columns.map(|ix| Candidate {
+                pos: grid.cell_center(CellId { ix, iy }),
+                covered: covered.to_vec(),
+            }));
+        });
         CandidateSet {
             delta,
-            coverage_radius: r0,
+            coverage_radius: scenario.coverage_radius(),
             candidates,
         }
     }
 
     /// The candidate set Algorithms 2 and 3 and the joint fleet planner
-    /// plan over: [`build`](CandidateSet::build) followed by
-    /// [`prune_dominated`](CandidateSet::prune_dominated).
+    /// plan over: equal to [`build`](CandidateSet::build) followed by
+    /// [`prune_dominated`](CandidateSet::prune_dominated), cell for cell.
+    ///
+    /// It never materialises the unpruned set: the sweep emits only the
+    /// first cell (in row-major order) of each coverage set not seen
+    /// before, and dominance then runs on the distinct sets alone.
     ///
     /// A `prepared` set handed to a planner's `plan_prepared` must equal
     /// this set for the planner's scenario layout and `δ`, which is what
@@ -101,10 +94,27 @@ impl CandidateSet {
     /// runs then share every instruction after set-up, so plans and
     /// counters are bit-identical (property-tested in
     /// `uavdc-bench/tests/service_cache_invisibility.rs`).
+    ///
+    /// # Panics
+    /// Panics when `delta` is non-positive or non-finite.
     pub fn build_pruned(scenario: &Scenario, delta: f64) -> Self {
-        let mut c = CandidateSet::build(scenario, delta);
-        c.prune_dominated();
-        c
+        let grid = GridSpec::for_region(&scenario.region, delta);
+        let mut distinct = DistinctSets::default();
+        sweep_runs(scenario, &grid, |iy, columns, covered, hash| {
+            distinct.push_if_new(hash, covered, || {
+                grid.cell_center(CellId {
+                    ix: columns.start,
+                    iy,
+                })
+            });
+        });
+        let mut candidates = distinct.candidates;
+        retain_undominated(&mut candidates);
+        CandidateSet {
+            delta,
+            coverage_radius: scenario.coverage_radius(),
+            candidates,
+        }
     }
 
     /// Number of candidates.
@@ -124,72 +134,25 @@ impl CandidateSet {
     /// keeping the first in grid order). Preserves the attainable data
     /// volume while shrinking the search space.
     pub fn prune_dominated(&mut self) {
-        let n = self.candidates.len();
-        // Bucket candidates by covered device to limit the quadratic
-        // comparison to candidates that can actually intersect. Device
-        // ids are dense, so a flat Vec indexed by id keeps the peer
-        // iteration order deterministic (a hash map's would not be).
-        let num_ids = self
-            .candidates
-            .iter()
-            .flat_map(|c| c.covered.iter())
-            .map(|&v| v as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut by_device: Vec<Vec<usize>> = vec![Vec::new(); num_ids];
-        for (i, c) in self.candidates.iter().enumerate() {
-            for &v in &c.covered {
-                by_device[v as usize].push(i);
-            }
-        }
-        let mut dead = vec![false; n];
         // Collapse exact-duplicate coverage sets up front (common at
         // small δ, where many grid cells see the same devices): keep the
-        // first candidate in grid order — exactly what the pairwise
-        // equal-set rule below would converge to — in one O(n log n)
-        // pass instead of paying for duplicates in the bucket scans.
-        // A BTreeMap keyed on the sorted slice keeps this deterministic.
+        // first candidate in grid order, in one O(n log n) pass, so the
+        // dominance kernel sees distinct sets only. A BTreeMap keyed on
+        // the sorted slice keeps this deterministic.
+        let mut dup = vec![false; self.candidates.len()];
         {
             let mut seen: std::collections::BTreeMap<&[u32], usize> =
                 std::collections::BTreeMap::new();
             for (i, c) in self.candidates.iter().enumerate() {
                 if seen.contains_key(c.covered.as_slice()) {
-                    dead[i] = true;
+                    dup[i] = true;
                 } else {
                     seen.insert(c.covered.as_slice(), i);
                 }
             }
         }
-        for i in 0..n {
-            if dead[i] {
-                continue;
-            }
-            // Candidates sharing the first device of i are the only
-            // possible dominators.
-            let first = self.candidates[i].covered[0];
-            if let Some(peers) = by_device.get(first as usize) {
-                for &j in peers {
-                    if i == j || dead[j] {
-                        continue;
-                    }
-                    let (a, b) = (&self.candidates[i].covered, &self.candidates[j].covered);
-                    if b.len() > a.len() && is_subset(a, b) {
-                        dead[i] = true;
-                        break;
-                    }
-                    if a == b && j < i {
-                        dead[i] = true;
-                        break;
-                    }
-                }
-            }
-        }
-        let mut k = 0;
-        self.candidates.retain(|_| {
-            let keep = !dead[k];
-            k += 1;
-            keep
-        });
+        drop_marked(&mut self.candidates, &dup);
+        retain_undominated(&mut self.candidates);
     }
 
     /// Filters to a subset with pairwise-disjoint coverage sets, greedily
@@ -223,6 +186,289 @@ impl CandidateSet {
             candidates: kept,
         }
     }
+}
+
+/// The cells `lo..=hi` of one grid row that one device disc covers.
+struct Chord {
+    iy: u32,
+    lo: u32,
+    hi: u32,
+    dev: u32,
+}
+
+/// Calls `each_run(iy, columns, covered, hash)` once for every maximal
+/// run of cells in a row whose centres cover the same non-empty device
+/// set, in row-major order. `covered` is sorted and `hash` is its Zobrist
+/// hash (the XOR of [`zobrist`] over its devices). Rows no disc reaches
+/// cost nothing.
+fn sweep_runs(
+    scenario: &Scenario,
+    grid: &GridSpec,
+    mut each_run: impl FnMut(u32, Range<u32>, &[u32], u64),
+) {
+    let chords = disc_chords(scenario, grid);
+    // Events are `column << 32 | device`, so a plain sort orders them by
+    // column.
+    let mut events: Vec<u64> = Vec::new();
+    let mut active: Vec<u32> = Vec::new();
+    for row in chords.chunk_by(|a, b| a.iy == b.iy) {
+        // A device enters the active set at `lo` and leaves at `hi + 1`;
+        // it has one chord per row, so each event toggles it.
+        events.clear();
+        let event = |x: u32, dev: u32| u64::from(x) << 32 | u64::from(dev);
+        events.extend(
+            row.iter()
+                .flat_map(|c| [event(c.lo, c.dev), event(c.hi + 1, c.dev)]),
+        );
+        events.sort_unstable();
+        let column = |e: u64| (e >> 32) as u32;
+        let mut hash = 0u64;
+        let mut k = 0;
+        while k < events.len() {
+            let x = column(events[k]);
+            while k < events.len() && column(events[k]) == x {
+                let dev = events[k] as u32;
+                match active.binary_search(&dev) {
+                    Ok(at) => {
+                        active.remove(at);
+                    }
+                    Err(at) => active.insert(at, dev),
+                }
+                hash ^= zobrist(dev);
+                k += 1;
+            }
+            // A non-empty active set still has its exits ahead, so
+            // `events[k]` exists and ends the run.
+            if !active.is_empty() {
+                each_run(row[0].iy, x..column(events[k]), &active, hash);
+            }
+        }
+    }
+}
+
+/// Every device's chords, sorted by row.
+///
+/// A cell centre `c` covers device `p` exactly when
+/// `p.distance_sq(c) <= R0²`, the same predicate a radius query applies.
+/// Within a row that predicate holds on an interval of columns: the
+/// squared offset `dx²` is unimodal in the column, and rounding is
+/// monotone. Likewise the rows with `dy² <= R0²` form an interval. Each
+/// interval is estimated with `sqrt` and then snapped to the predicate
+/// one cell at a time, so the chords are exact.
+fn disc_chords(scenario: &Scenario, grid: &GridSpec) -> Vec<Chord> {
+    // lint:allow(unit-unwrap): the grid geometry is dimension-generic, radii in metres
+    let r = scenario.coverage_radius().value();
+    let r2 = r * r;
+    let delta = grid.delta();
+    let origin = grid.bounds().min;
+    let mut chords = Vec::new();
+    for (dev, p) in scenario.device_positions().into_iter().enumerate() {
+        // A cell centre's x depends on its column only, its y on its row
+        // only.
+        let dx2 = |ix| {
+            let dx = p.x - grid.cell_center(CellId { ix, iy: 0 }).x;
+            dx * dx
+        };
+        let dy2 = |iy| {
+            let dy = p.y - grid.cell_center(CellId { ix: 0, iy }).y;
+            dy * dy
+        };
+        // Disc centre in cell units: cell `i`'s centre sits at `i`.
+        let cx = (p.x - origin.x) / delta - 0.5;
+        let cy = (p.y - origin.y) / delta - 0.5;
+        let mx = nearest_cell(cx, grid.nx(), dx2);
+        let my = nearest_cell(cy, grid.ny(), dy2);
+        let rows = snap_interval(my, cy - r / delta, cy + r / delta, grid.ny(), |iy| {
+            dy2(iy) <= r2
+        });
+        let Some((y_lo, y_hi)) = rows else {
+            continue;
+        };
+        for iy in y_lo..=y_hi {
+            let base = dy2(iy);
+            let half = (r2 - base).max(0.0).sqrt() / delta;
+            let columns = snap_interval(mx, cx - half, cx + half, grid.nx(), |ix| {
+                dx2(ix) + base <= r2
+            });
+            if let Some((lo, hi)) = columns {
+                chords.push(Chord {
+                    iy,
+                    lo,
+                    hi,
+                    dev: dev as u32,
+                });
+            }
+        }
+    }
+    // Each device pushed its chords in row order, so this merges sorted
+    // runs.
+    chords.sort_by_key(|c| c.iy);
+    chords
+}
+
+/// The cell of an axis of `n` cells that minimises the unimodal `d2`,
+/// found by descending from the cell nearest `centre` (in cell units).
+fn nearest_cell(centre: f64, n: u32, d2: impl Fn(u32) -> f64) -> u32 {
+    let last = n - 1;
+    let mut m = (centre.round() as i64).clamp(0, i64::from(last)) as u32;
+    while m < last && d2(m + 1) < d2(m) {
+        m += 1;
+    }
+    while m > 0 && d2(m - 1) < d2(m) {
+        m -= 1;
+    }
+    m
+}
+
+/// The cells `lo..=hi` of an axis of `n` cells on which `inside` holds,
+/// or `None` if it holds nowhere. `inside` must hold on an interval that,
+/// when non-empty, contains `m`. The walk starts from the estimate
+/// `[lo, hi]` (in cell units) and moves each end one cell at a time
+/// until `inside` flips.
+fn snap_interval(
+    m: u32,
+    lo: f64,
+    hi: f64,
+    n: u32,
+    inside: impl Fn(u32) -> bool,
+) -> Option<(u32, u32)> {
+    if !inside(m) {
+        return None;
+    }
+    let last = i64::from(n - 1);
+    let mut lo = (lo.ceil() as i64).clamp(0, last).min(i64::from(m)) as u32;
+    if inside(lo) {
+        while lo > 0 && inside(lo - 1) {
+            lo -= 1;
+        }
+    } else {
+        while !inside(lo) {
+            lo += 1;
+        }
+    }
+    let mut hi = (hi.floor() as i64).clamp(0, last).max(i64::from(m)) as u32;
+    if inside(hi) {
+        while i64::from(hi) < last && inside(hi + 1) {
+            hi += 1;
+        }
+    } else {
+        while !inside(hi) {
+            hi -= 1;
+        }
+    }
+    Some((lo, hi))
+}
+
+/// A fixed pseudo-random 64-bit key per device (the splitmix64
+/// finaliser); a set's hash is the XOR of its devices' keys.
+fn zobrist(dev: u32) -> u64 {
+    let mut z = (u64::from(dev) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Candidates with pairwise-distinct coverage sets, in emission order,
+/// behind an open-addressing table keyed on the sets' Zobrist hashes. A
+/// hash hit counts only when the stored set is equal, slice for slice.
+#[derive(Default)]
+struct DistinctSets {
+    candidates: Vec<Candidate>,
+    /// `hashes[k]` is the hash of `candidates[k].covered`.
+    hashes: Vec<u64>,
+    /// `0` is an empty slot, `k + 1` holds candidate `k`.
+    slots: Vec<u32>,
+}
+
+impl DistinctSets {
+    /// Appends a candidate at `pos()` covering `covered` unless an earlier
+    /// candidate covers the same set.
+    fn push_if_new(&mut self, hash: u64, covered: &[u32], pos: impl FnOnce() -> Point2) {
+        if 2 * (self.hashes.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut s = hash as usize & mask;
+        while self.slots[s] != 0 {
+            let k = self.slots[s] as usize - 1;
+            if self.hashes[k] == hash && self.candidates[k].covered == covered {
+                return;
+            }
+            s = (s + 1) & mask;
+        }
+        self.slots[s] = self.hashes.len() as u32 + 1;
+        self.hashes.push(hash);
+        self.candidates.push(Candidate {
+            pos: pos(),
+            covered: covered.to_vec(),
+        });
+    }
+
+    /// Doubles the table and reinserts every stored hash.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        self.slots = vec![0; size];
+        for (k, &h) in self.hashes.iter().enumerate() {
+            let mut s = h as usize & (size - 1);
+            while self.slots[s] != 0 {
+                s = (s + 1) & (size - 1);
+            }
+            self.slots[s] = k as u32 + 1;
+        }
+    }
+}
+
+/// The dominance kernel: drops every candidate whose coverage set is a
+/// strict subset of another candidate's. The sets must be pairwise
+/// distinct; survivors keep their order.
+///
+/// Sets are visited largest first, and only survivors are indexed: a set
+/// is dominated only by a larger one, and if by any, then by a maximal
+/// one, which was visited and kept before it.
+fn retain_undominated(candidates: &mut Vec<Candidate>) {
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(candidates[i].covered.len()));
+    // Survivors by covered device. Device ids are dense, so a flat Vec
+    // indexed by id keeps the peer iteration order deterministic (a hash
+    // map's would not be).
+    let num_ids = candidates
+        .iter()
+        .flat_map(|c| c.covered.iter())
+        .map(|&v| v as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut kept_by_device: Vec<Vec<usize>> = vec![Vec::new(); num_ids];
+    let mut dead = vec![false; candidates.len()];
+    for i in order {
+        // A dominator covers every device of i, so the survivors sharing
+        // i's least-shared device are the only ones worth testing.
+        let a = &candidates[i].covered;
+        let pivot = a.iter().map(|&v| &kept_by_device[v as usize]);
+        dead[i] = match pivot.min_by_key(|peers| peers.len()) {
+            Some(peers) => peers.iter().any(|&j| {
+                let b = &candidates[j].covered;
+                b.len() > a.len() && is_subset(a, b)
+            }),
+            // The empty set: any other (hence non-empty) set dominates it.
+            None => candidates.len() > 1,
+        };
+        if !dead[i] {
+            for &v in a {
+                kept_by_device[v as usize].push(i);
+            }
+        }
+    }
+    drop_marked(candidates, &dead);
+}
+
+/// Removes the candidates whose flag in `marked` is set.
+fn drop_marked(candidates: &mut Vec<Candidate>, marked: &[bool]) {
+    let mut k = 0;
+    candidates.retain(|_| {
+        let keep = !marked[k];
+        k += 1;
+        keep
+    });
 }
 
 fn is_subset(a: &[u32], b: &[u32]) -> bool {

@@ -4,12 +4,13 @@
 //! `uavdc-core`: 2-D/3-D points, axis-aligned bounding boxes, the square
 //! grid partition of the monitoring region (the paper's `δ`-squares), disc
 //! coverage predicates (the UAV's hovering coverage circle of radius `R0`),
-//! and a uniform-grid spatial index for fast "all sensors within radius `r`
-//! of a hovering location" queries.
+//! and a sparse uniform-grid spatial index for fast "all sensors within
+//! radius `r` of a point" queries.
 //!
 //! Everything here is deterministic and allocation-conscious: queries write
-//! into caller-provided buffers where it matters, and the spatial index is a
-//! flat bucket grid (no per-node boxing).
+//! into caller-provided buffers where it matters, and the spatial index
+//! stores only its occupied buckets, in one sorted list (no per-node
+//! boxing, and memory O(points) however large the region).
 //!
 //! # Example
 //!

@@ -1,10 +1,10 @@
-//! Uniform-grid spatial index over a fixed point set.
+//! Sparse uniform-grid spatial index over a fixed point set.
 //!
-//! Coverage-set computation (`C(s_j)` for every candidate hovering location)
-//! is the hottest geometric operation in the planners: with `δ = 5 m` and
-//! 500 sensors there are ~40 000 candidate locations, each needing an
-//! "all sensors within `R0`" query. A flat bucket grid answers these in
-//! expected O(k) per query.
+//! The planners use it for "all devices within `r` of a point" queries:
+//! the Benchmark planner's per-device coverage lists, the sweep
+//! baseline's lattice stops and the network topology builder. Only
+//! occupied buckets are stored, so memory is O(points) however large the
+//! bounding box is, and a query skips empty bucket rows by binary search.
 
 use crate::{Aabb, Point2};
 
@@ -19,8 +19,11 @@ pub struct SpatialGrid {
     cell: f64,
     nx: i64,
     ny: i64,
-    /// CSR-style layout: `starts[b]..starts[b+1]` slices `entries` for bucket `b`.
+    /// Occupied buckets as `(row, column)`, ascending (row-major).
+    buckets: Vec<(i64, i64)>,
+    /// `starts[k]..starts[k+1]` slices `entries` for `buckets[k]`.
     starts: Vec<u32>,
+    /// Point indices, grouped by bucket, ascending within a bucket.
     entries: Vec<u32>,
 }
 
@@ -44,31 +47,28 @@ impl SpatialGrid {
         let bounds = Aabb::from_points(points)
             .unwrap_or_else(|| Aabb::new(Point2::ORIGIN, Point2::new(cell, cell)));
         let origin = bounds.min;
-        let nx = ((bounds.width() / cell).floor() as i64 + 1).max(1);
-        let ny = ((bounds.height() / cell).floor() as i64 + 1).max(1);
-        let nbuckets = (nx * ny) as usize;
+        let nx = ((bounds.width() / cell).floor() as i64).saturating_add(1);
+        let ny = ((bounds.height() / cell).floor() as i64).saturating_add(1);
 
-        // Counting sort of points into buckets (CSR construction).
-        let bucket_of = |p: Point2| -> usize {
-            let bx = (((p.x - origin.x) / cell).floor() as i64).clamp(0, nx - 1);
-            let by = (((p.y - origin.y) / cell).floor() as i64).clamp(0, ny - 1);
-            (by * nx + bx) as usize
-        };
-        let mut counts = vec![0u32; nbuckets + 1];
-        for &p in points {
-            counts[bucket_of(p) + 1] += 1;
+        let mut keyed: Vec<((i64, i64), u32)> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let bx = (((p.x - origin.x) / cell).floor() as i64).clamp(0, nx - 1);
+                let by = (((p.y - origin.y) / cell).floor() as i64).clamp(0, ny - 1);
+                ((by, bx), i as u32)
+            })
+            .collect();
+        keyed.sort_unstable();
+        let mut buckets = Vec::new();
+        let mut starts = Vec::new();
+        for (k, &(b, _)) in keyed.iter().enumerate() {
+            if buckets.last() != Some(&b) {
+                buckets.push(b);
+                starts.push(k as u32);
+            }
         }
-        for b in 0..nbuckets {
-            counts[b + 1] += counts[b];
-        }
-        let starts = counts.clone();
-        let mut cursor = counts;
-        let mut entries = vec![0u32; points.len()];
-        for (i, &p) in points.iter().enumerate() {
-            let b = bucket_of(p);
-            entries[cursor[b] as usize] = i as u32;
-            cursor[b] += 1;
-        }
+        starts.push(keyed.len() as u32);
 
         SpatialGrid {
             points: points.to_vec(),
@@ -76,8 +76,9 @@ impl SpatialGrid {
             cell,
             nx,
             ny,
+            buckets,
             starts,
-            entries,
+            entries: keyed.into_iter().map(|(_, i)| i).collect(),
         }
     }
 
@@ -99,7 +100,8 @@ impl SpatialGrid {
         &self.points
     }
 
-    /// Indices of all points within (closed) distance `radius` of `q`.
+    /// Indices of all points within (closed) distance `radius` of `q`,
+    /// bucket by bucket in row-major order and by index within a bucket.
     pub fn query_radius(&self, q: Point2, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
         self.query_radius_into(q, radius, &mut out);
@@ -122,101 +124,31 @@ impl SpatialGrid {
             (((q.y - radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
         let hi_y =
             (((q.y + radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        for by in lo_y..=hi_y {
-            for bx in lo_x..=hi_x {
-                let b = (by * self.nx + bx) as usize;
-                let s = self.starts[b] as usize;
-                let e = self.starts[b + 1] as usize;
+        let mut by = lo_y;
+        while by <= hi_y {
+            let mut k = self.buckets.partition_point(|&b| b < (by, lo_x));
+            match self.buckets.get(k) {
+                None => break,
+                // Row `by` has no bucket in the window: jump to the next
+                // occupied row.
+                Some(&(row, _)) if row > by => {
+                    by = row;
+                    continue;
+                }
+                Some(_) => {}
+            }
+            while k < self.buckets.len() && self.buckets[k] <= (by, hi_x) {
+                let s = self.starts[k] as usize;
+                let e = self.starts[k + 1] as usize;
                 for &i in &self.entries[s..e] {
                     if self.points[i as usize].distance_sq(q) <= r2 {
                         out.push(i as usize);
                     }
                 }
+                k += 1;
             }
+            by += 1;
         }
-    }
-
-    /// Number of points within distance `radius` of `q` (no allocation).
-    pub fn count_within(&self, q: Point2, radius: f64) -> usize {
-        if self.points.is_empty() || !radius.is_finite() || radius < 0.0 {
-            return 0;
-        }
-        let r2 = radius * radius;
-        let lo_x =
-            (((q.x - radius - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let hi_x =
-            (((q.x + radius - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let lo_y =
-            (((q.y - radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let hi_y =
-            (((q.y + radius - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let mut n = 0;
-        for by in lo_y..=hi_y {
-            for bx in lo_x..=hi_x {
-                let b = (by * self.nx + bx) as usize;
-                let s = self.starts[b] as usize;
-                let e = self.starts[b + 1] as usize;
-                n += self.entries[s..e]
-                    .iter()
-                    .filter(|&&i| self.points[i as usize].distance_sq(q) <= r2)
-                    .count();
-            }
-        }
-        n
-    }
-
-    /// Index of the point nearest to `q`, or `None` when empty.
-    ///
-    /// Expands the bucket search ring by ring, so typical cost is O(1) for
-    /// well-distributed points.
-    pub fn nearest(&self, q: Point2) -> Option<usize> {
-        if self.points.is_empty() {
-            return None;
-        }
-        let qbx = (((q.x - self.origin.x) / self.cell).floor() as i64).clamp(0, self.nx - 1);
-        let qby = (((q.y - self.origin.y) / self.cell).floor() as i64).clamp(0, self.ny - 1);
-        let mut best: Option<(usize, f64)> = None;
-        let max_ring = self.nx.max(self.ny);
-        for ring in 0..=max_ring {
-            // Once a candidate is found, one extra ring suffices for
-            // correctness (points in further rings are at least
-            // (ring-1)*cell away from q).
-            if let Some((_, d2)) = best {
-                let safe = (ring - 1).max(0) as f64 * self.cell;
-                if safe * safe > d2 {
-                    break;
-                }
-            }
-            let lo_x = (qbx - ring).max(0);
-            let hi_x = (qbx + ring).min(self.nx - 1);
-            let lo_y = (qby - ring).max(0);
-            let hi_y = (qby + ring).min(self.ny - 1);
-            for by in lo_y..=hi_y {
-                for bx in lo_x..=hi_x {
-                    // Only the ring boundary is new.
-                    if ring > 0
-                        && bx != lo_x
-                        && bx != hi_x
-                        && by != lo_y
-                        && by != hi_y
-                        && (qbx - bx).abs() < ring
-                        && (qby - by).abs() < ring
-                    {
-                        continue;
-                    }
-                    let b = (by * self.nx + bx) as usize;
-                    let s = self.starts[b] as usize;
-                    let e = self.starts[b + 1] as usize;
-                    for &i in &self.entries[s..e] {
-                        let d2 = self.points[i as usize].distance_sq(q);
-                        if best.is_none_or(|(_, bd)| d2 < bd) {
-                            best = Some((i as usize, d2));
-                        }
-                    }
-                }
-            }
-        }
-        best.map(|(i, _)| i)
     }
 }
 
@@ -239,8 +171,6 @@ mod tests {
         let g = SpatialGrid::build(&[], 10.0);
         assert!(g.is_empty());
         assert!(g.query_radius(Point2::ORIGIN, 100.0).is_empty());
-        assert_eq!(g.count_within(Point2::ORIGIN, 100.0), 0);
-        assert_eq!(g.nearest(Point2::ORIGIN), None);
     }
 
     #[test]
@@ -248,7 +178,6 @@ mod tests {
         let g = SpatialGrid::build(&[Point2::new(3.0, 4.0)], 10.0);
         assert_eq!(g.query_radius(Point2::ORIGIN, 5.0), vec![0]);
         assert!(g.query_radius(Point2::ORIGIN, 4.99).is_empty());
-        assert_eq!(g.nearest(Point2::new(100.0, 100.0)), Some(0));
     }
 
     #[test]
@@ -276,18 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn count_matches_query_len() {
-        let pts: Vec<Point2> = (0..100)
-            .map(|i| Point2::new((i * 37 % 100) as f64, (i * 61 % 100) as f64))
-            .collect();
-        let g = SpatialGrid::build(&pts, 10.0);
-        for r in [0.0, 5.0, 25.0, 200.0] {
-            let q = Point2::new(50.0, 50.0);
-            assert_eq!(g.count_within(q, r), g.query_radius(q, r).len());
-        }
-    }
-
-    #[test]
     fn negative_or_nan_radius_is_empty() {
         let g = SpatialGrid::build(&[Point2::ORIGIN], 1.0);
         assert!(g.query_radius(Point2::ORIGIN, -1.0).is_empty());
@@ -298,21 +215,6 @@ mod tests {
     #[should_panic(expected = "not finite")]
     fn non_finite_point_panics() {
         let _ = SpatialGrid::build(&[Point2::new(f64::NAN, 0.0)], 1.0);
-    }
-
-    #[test]
-    fn nearest_finds_true_nearest() {
-        let pts = vec![
-            Point2::new(0.0, 0.0),
-            Point2::new(10.0, 0.0),
-            Point2::new(10.0, 10.0),
-            Point2::new(0.0, 10.0),
-            Point2::new(4.0, 6.0),
-        ];
-        let g = SpatialGrid::build(&pts, 3.0);
-        assert_eq!(g.nearest(Point2::new(4.5, 5.5)), Some(4));
-        assert_eq!(g.nearest(Point2::new(-100.0, -100.0)), Some(0));
-        assert_eq!(g.nearest(Point2::new(11.0, 9.0)), Some(2));
     }
 
     proptest! {
@@ -335,21 +237,44 @@ mod tests {
         }
 
         #[test]
-        fn prop_nearest_matches_brute_force(
-            pts in proptest::collection::vec((0.0f64..500.0, 0.0f64..500.0), 1..80),
-            qx in -50.0f64..550.0,
-            qy in -50.0f64..550.0,
+        fn prop_query_order_is_row_major_then_index(
+            pts in proptest::collection::vec((0.0f64..300.0, 0.0f64..300.0), 0..120),
+            qx in -50.0f64..350.0,
+            qy in -50.0f64..350.0,
+            r in 0.0f64..200.0,
+            cell in 1.0f64..100.0,
         ) {
+            // The order a dense bucket array visits: (row, column), then
+            // point index within a bucket.
             let points: Vec<Point2> = pts.iter().map(|&(x, y)| Point2::new(x, y)).collect();
-            let g = SpatialGrid::build(&points, 37.0);
+            let g = SpatialGrid::build(&points, cell);
             let q = Point2::new(qx, qy);
-            let got = g.nearest(q).unwrap();
-            let best = points
-                .iter()
-                .map(|p| p.distance_sq(q))
-                .fold(f64::INFINITY, f64::min);
-            // Ties allowed: the returned point must be at the minimum distance.
-            prop_assert!((points[got].distance_sq(q) - best).abs() < 1e-9);
+            let bucket = |p: Point2| {
+                let bx = (((p.x - g.origin.x) / cell).floor() as i64).clamp(0, g.nx - 1);
+                let by = (((p.y - g.origin.y) / cell).floor() as i64).clamp(0, g.ny - 1);
+                (by, bx)
+            };
+            let mut want = brute_radius(&points, q, r);
+            want.sort_by_key(|&i| (bucket(points[i]), i));
+            prop_assert_eq!(g.query_radius(q, r), want);
         }
+    }
+
+    #[test]
+    fn huge_sparse_extent_stores_only_occupied_buckets() {
+        // 10,000 km apart with 1 m buckets: a dense bucket array would
+        // need 10^14 slots.
+        let pts = [
+            Point2::new(0.0, 0.0),
+            Point2::new(1e7 - 0.25, 1e7),
+            Point2::new(1e7 - 0.5, 1e7),
+            Point2::new(0.0, 0.0),
+        ];
+        let g = SpatialGrid::build(&pts, 1.0);
+        assert_eq!(g.buckets.len(), 2);
+        assert_eq!(g.query_radius(Point2::new(1e7, 1e7), 1.0), vec![1, 2]);
+        assert_eq!(g.query_radius(Point2::ORIGIN, 1.0), vec![0, 3]);
+        assert!(g.query_radius(Point2::new(5e6, 5e6), 1e3).is_empty());
+        assert_eq!(g.query_radius(Point2::new(5e6, 5e6), 1e7).len(), 4);
     }
 }
