@@ -8,8 +8,8 @@
 //!   heuristic. Built here from its three ingredients:
 //!   [`mst::prim_mst`], a minimum-weight perfect matching
 //!   ([`matching::min_weight_perfect_matching`], exact DP for small
-//!   instances, an O(n³) blossom algorithm in general, plus a fast greedy
-//!   mode), and a Hierholzer Euler circuit ([`euler::euler_circuit`]).
+//!   instances, an O(n³) blossom algorithm in general), and a Hierholzer
+//!   Euler circuit ([`euler::euler_circuit`]).
 //! * **Tour improvement** — 2-opt and Or-opt local search ([`improve`]).
 //!   One 2-opt sweep, [`improve::two_opt_by`], serves every tour in the
 //!   workspace: matrix tours, the incremental tour's cached distances,

@@ -1,19 +1,17 @@
 //! Minimum-weight perfect matching on complete graphs.
 //!
 //! Christofides' heuristic needs a minimum-weight perfect matching over the
-//! odd-degree vertices of the MST. Three backends are provided:
+//! odd-degree vertices of the MST. Both backends are exact:
 //!
 //! * [`MatchingBackend::ExactDp`] — bitmask dynamic programming,
-//!   `O(2^n · n)`; exact, for `n <= ~20`. Used as ground truth in tests.
+//!   `O(2^n · n)`, for `n <= ~20`. Also the ground truth in tests.
 //! * [`MatchingBackend::Blossom`] — an `O(n³)` primal–dual blossom
-//!   algorithm (maximum-weight matching on transformed weights); exact for
-//!   any size this crate encounters.
-//! * [`MatchingBackend::Greedy`] — greedy edge selection plus pairwise
-//!   2-exchange improvement; a fast approximation, checked by the
-//!   matching fuzz tests.
+//!   algorithm (maximum-weight matching on transformed weights), for any
+//!   size this crate encounters.
 //!
 //! [`MatchingBackend::Auto`] picks DP for tiny inputs and blossom
-//! otherwise.
+//! otherwise. Both backends return mates only; the weight is summed here
+//! in `f64` from the mates.
 
 mod blossom;
 
@@ -29,8 +27,6 @@ pub enum MatchingBackend {
     ExactDp,
     /// Exact O(n³) blossom algorithm.
     Blossom,
-    /// Greedy construction + 2-exchange improvement (approximate).
-    Greedy,
 }
 
 /// A perfect matching: `mates[v]` is the vertex matched to `v`.
@@ -80,41 +76,27 @@ pub fn min_weight_perfect_matching_with(m: &DistMatrix, backend: MatchingBackend
         n.is_multiple_of(2),
         "perfect matching needs an even vertex count, got {n}"
     );
-    if n == 0 {
-        return Matching {
-            mates: Vec::new(),
-            weight: 0.0,
-        };
-    }
-    let mut result = match backend {
-        MatchingBackend::Auto => {
-            if n <= 16 {
-                exact_dp(m)
-            } else {
-                blossom::min_weight_perfect_matching_blossom(m)
-            }
-        }
+    let mates = match backend {
+        MatchingBackend::Auto if n <= 16 => exact_dp(m),
         MatchingBackend::ExactDp => exact_dp(m),
-        MatchingBackend::Blossom => blossom::min_weight_perfect_matching_blossom(m),
-        MatchingBackend::Greedy => greedy_improved(m),
+        MatchingBackend::Auto | MatchingBackend::Blossom => {
+            blossom::min_weight_perfect_matching_blossom(m)
+        }
     };
-    // Recompute the weight in f64 from the mates to avoid scaling error.
-    result.weight = matching_weight(m, &result.mates);
-    debug_assert!(result.is_perfect());
-    result
-}
-
-fn matching_weight(m: &DistMatrix, mates: &[usize]) -> f64 {
-    mates
+    // The weight in f64 from the mates, free of blossom's integer scaling.
+    let weight = mates
         .iter()
         .enumerate()
         .filter(|&(v, &p)| v < p)
         .map(|(v, &p)| m.get(v, p))
-        .sum()
+        .sum();
+    let result = Matching { mates, weight };
+    debug_assert!(result.is_perfect());
+    result
 }
 
-/// Exact `O(2^n · n)` bitmask DP.
-fn exact_dp(m: &DistMatrix) -> Matching {
+/// Exact `O(2^n · n)` bitmask DP, as mates.
+fn exact_dp(m: &DistMatrix) -> Vec<usize> {
     let n = m.len();
     assert!(n <= 22, "exact DP matching limited to n <= 22, got {n}");
     let full: usize = (1usize << n) - 1;
@@ -154,73 +136,7 @@ fn exact_dp(m: &DistMatrix) -> Matching {
         mask &= !(1 << i);
         mask &= !(1 << j);
     }
-    Matching {
-        weight: dp[full],
-        mates,
-    }
-}
-
-/// Greedy matching (cheapest edges first) followed by repeated 2-exchange
-/// improvement until a local optimum.
-fn greedy_improved(m: &DistMatrix) -> Matching {
-    let n = m.len();
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            pairs.push((i, j));
-        }
-    }
-    pairs.sort_by(|a, b| uavdc_geom::cmp_f64(m.get(a.0, a.1), m.get(b.0, b.1)));
-    let mut mates = vec![usize::MAX; n];
-    for (i, j) in pairs {
-        if mates[i] == usize::MAX && mates[j] == usize::MAX {
-            mates[i] = j;
-            mates[j] = i;
-        }
-    }
-    // 2-exchange: for matched edges (a,b), (c,d) try (a,c)(b,d) and (a,d)(b,c).
-    let mut improved = true;
-    let mut rounds = 0;
-    while improved && rounds < 64 {
-        improved = false;
-        rounds += 1;
-        let edges: Vec<(usize, usize)> = mates
-            .iter()
-            .enumerate()
-            .filter(|&(v, &p)| v < p)
-            .map(|(v, &p)| (v, p))
-            .collect();
-        for x in 0..edges.len() {
-            for y in (x + 1)..edges.len() {
-                let (a, b) = edges[x];
-                let (c, d) = edges[y];
-                // Skip pairs already rewired this round.
-                if mates[a] != b || mates[c] != d {
-                    continue;
-                }
-                let cur = m.get(a, b) + m.get(c, d);
-                let alt1 = m.get(a, c) + m.get(b, d);
-                let alt2 = m.get(a, d) + m.get(b, c);
-                if alt1 < cur - 1e-12 && alt1 <= alt2 {
-                    mates[a] = c;
-                    mates[c] = a;
-                    mates[b] = d;
-                    mates[d] = b;
-                    improved = true;
-                } else if alt2 < cur - 1e-12 {
-                    mates[a] = d;
-                    mates[d] = a;
-                    mates[b] = c;
-                    mates[c] = b;
-                    improved = true;
-                }
-            }
-        }
-    }
-    Matching {
-        weight: matching_weight(m, &mates),
-        mates,
-    }
+    mates
 }
 
 #[cfg(test)]
@@ -250,11 +166,7 @@ mod tests {
     #[test]
     fn two_vertices_match_each_other() {
         let m = euclid(&[(0.0, 0.0), (3.0, 4.0)]);
-        for backend in [
-            MatchingBackend::ExactDp,
-            MatchingBackend::Blossom,
-            MatchingBackend::Greedy,
-        ] {
+        for backend in [MatchingBackend::ExactDp, MatchingBackend::Blossom] {
             let r = min_weight_perfect_matching_with(&m, backend);
             assert_eq!(r.mates, vec![1, 0], "{backend:?}");
             assert_eq!(r.weight, 5.0, "{backend:?}");
@@ -265,11 +177,7 @@ mod tests {
     fn four_on_a_line_pairs_neighbors() {
         // 0-1 and 2-3 (cost 2) beats 0-2/1-3 (cost 4) and 0-3/1-2 (cost 4).
         let m = euclid(&[(0.0, 0.0), (1.0, 0.0), (10.0, 0.0), (11.0, 0.0)]);
-        for backend in [
-            MatchingBackend::ExactDp,
-            MatchingBackend::Blossom,
-            MatchingBackend::Greedy,
-        ] {
+        for backend in [MatchingBackend::ExactDp, MatchingBackend::Blossom] {
             let r = min_weight_perfect_matching_with(&m, backend);
             assert!(r.is_perfect());
             assert_eq!(r.weight, 2.0, "{backend:?}");
@@ -280,8 +188,8 @@ mod tests {
 
     #[test]
     fn greedy_trap_instance_blossom_still_optimal() {
-        // Greedy takes the cheapest edge (1,2) first and is forced into
-        // expensive leftovers; the optimum avoids it.
+        // Taking the cheapest edge (1,2) first forces expensive
+        // leftovers; the optimum avoids it.
         let mut m = DistMatrix::zeros(4);
         m.set(1, 2, 1.0);
         m.set(0, 1, 2.0);
@@ -293,11 +201,6 @@ mod tests {
         let blossom = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
         assert_eq!(exact.weight, 4.0);
         assert!((blossom.weight - exact.weight).abs() < 1e-9);
-        // Greedy-with-improvement also escapes this particular trap via
-        // 2-exchange, ending perfect regardless.
-        let greedy = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
-        assert!(greedy.is_perfect());
-        assert!(greedy.weight <= 103.0);
     }
 
     #[test]
@@ -319,17 +222,21 @@ mod tests {
 
     #[test]
     fn blossom_handles_larger_instance() {
-        // 60 vertices: too big for DP; check perfectness and that blossom
-        // is no worse than greedy.
-        let pts: Vec<(f64, f64)> = (0..60)
+        // 16 vertices, the largest `Auto` still hands to DP: blossom must
+        // reach the DP optimum.
+        let pts: Vec<(f64, f64)> = (0..16)
             .map(|i| ((i * 37 % 100) as f64, (i * 61 % 100) as f64))
             .collect();
         let m = euclid(&pts);
+        let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
         let bl = min_weight_perfect_matching_with(&m, MatchingBackend::Blossom);
-        let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
         assert!(bl.is_perfect());
-        assert!(gr.is_perfect());
-        assert!(bl.weight <= gr.weight + 1e-6);
+        assert!(
+            (bl.weight - dp.weight).abs() < 1e-9 * (1.0 + dp.weight),
+            "blossom {} vs dp {}",
+            bl.weight,
+            dp.weight
+        );
     }
 
     #[test]
@@ -362,22 +269,6 @@ mod tests {
             prop_assert!(bl.is_perfect());
             prop_assert!((bl.weight - dp.weight).abs() < 1e-5 * (1.0 + dp.weight),
                 "blossom {} vs dp {}", bl.weight, dp.weight);
-        }
-
-        #[test]
-        fn prop_greedy_is_perfect_and_bounded(
-            pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 2..15)
-                .prop_map(|mut v| { if v.len() % 2 == 1 { v.pop(); } v })
-        ) {
-            prop_assume!(!pts.is_empty());
-            let m = euclid(&pts);
-            let gr = min_weight_perfect_matching_with(&m, MatchingBackend::Greedy);
-            prop_assert!(gr.is_perfect());
-            if pts.len() <= 14 {
-                let dp = min_weight_perfect_matching_with(&m, MatchingBackend::ExactDp);
-                // Greedy is approximate but never better than exact.
-                prop_assert!(gr.weight >= dp.weight - 1e-9);
-            }
         }
     }
 }
