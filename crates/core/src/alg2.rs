@@ -37,17 +37,14 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
-    RepairDists,
+    self, touch, EngineMode, EvalCounters, InsertionCache, LazyHeap, LazyPre, PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
 use crate::Planner;
 use uavdc_geom::Point2;
 use uavdc_graph::improve::two_opt_by;
-use uavdc_graph::incremental::{
-    cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-};
+use uavdc_graph::incremental::IncrementalTour;
 use uavdc_net::units::Seconds;
 use uavdc_net::{DeviceId, Scenario};
 use uavdc_obs::{Recorder, Span};
@@ -205,17 +202,18 @@ impl<'a> GreedyState<'a> {
 
     /// Commits the chosen candidate under FastInsertion: collects its
     /// uncovered devices, splices it into the tour at
-    /// `eval.insert_pos`, updates energies. Returns the device ids
-    /// drained by this stop (the lazy engine's dirty seed). Does **not**
-    /// deactivate other exhausted candidates — the exhaustive path sweeps
-    /// with [`GreedyState::deactivate_exhausted`], the lazy path reaches
-    /// the same candidates through the device index.
+    /// `eval.insert_pos`, updates the hover energy. Returns the device
+    /// ids drained by this stop (the lazy engine's dirty seed). The
+    /// caller sets `tour_len` (the exhaustive engine from the points, the
+    /// lazy one from its edge cache). Does **not** deactivate other
+    /// exhausted candidates — the exhaustive path sweeps with
+    /// [`GreedyState::deactivate_exhausted`], the lazy path reaches the
+    /// same candidates through the device index.
     fn commit(&mut self, eval: Evaluation, eta_h: f64) -> Vec<u32> {
         let cand = &self.candidates.candidates[eval.cand];
         let drained = self.drain_devices(eval);
         self.tour_pts.insert(eval.insert_pos, cand.pos);
         self.stop_of.insert(eval.insert_pos, self.stops.len() - 1);
-        self.tour_len = closed_tour_length(&self.tour_pts);
         self.hover_energy_total += eval.sojourn * eta_h;
         self.active[eval.cand] = false;
         drained
@@ -368,6 +366,7 @@ fn run_exhaustive(
             break;
         };
         state.commit(eval, eta_h);
+        state.tour_len = closed_tour_length(&state.tour_pts);
         counters.tour_patches += 1;
         state.deactivate_exhausted();
         since_compact += 1;
@@ -468,156 +467,32 @@ fn run_paper(
     }
 }
 
-/// Epoch-stamped membership push: `touched` accumulates each candidate at
-/// most once per iteration, replacing a sort+dedup pass. Heap pushes may
-/// then happen in discovery order rather than ascending candidate order —
-/// harmless, because the heap's pop sequence depends only on the *set* of
-/// `(ratio, cand, gen)` entries (strict total order), never on push order,
-/// and per-candidate generation numbers count only that candidate's own
-/// pushes.
-fn touch(tstamp: &mut [u32], tepoch: u32, touched: &mut Vec<u32>, c: u32) {
-    if tstamp[c as usize] != tepoch {
-        tstamp[c as usize] = tepoch;
-        touched.push(c);
-    }
-}
-
-/// The lazy engine's compaction: 2-opt over the incremental tour's cached
-/// triangular matrix, with the resulting permutation applied to the
-/// planner state and coordinate mirrors in lockstep. Produces exactly the
-/// state [`GreedyState::compact`] would: the sweeps make bit-identical
+/// The lazy engine's compaction: 2-opt over the mirrored tour's cached
+/// distances, with the resulting permutation applied to the planner
+/// state in lockstep. Produces exactly the state
+/// [`GreedyState::compact`] would: the sweeps make bit-identical
 /// decisions (cached distances ≡ fresh ones) and the skipped `tour_len`
 /// recomputation on the unchanged path is the value it already holds.
-fn lazy_compact(state: &mut GreedyState<'_>, inc: &mut IncrementalTour) -> bool {
-    let Some(perm) = inc.two_opt_compact() else {
+fn lazy_compact(state: &mut GreedyState<'_>, pre: &mut LazyPre) -> bool {
+    let Some(perm) = pre.compact() else {
         return false;
     };
     state.tour_pts = crate::tourutil::apply_order(&state.tour_pts, &perm);
     state.stop_of = crate::tourutil::apply_order(&state.stop_of, &perm);
-    state.tour_len = inc.total_cost();
+    state.tour_len = pre.tour_len();
     true
-}
-
-/// Input-derived accelerator structures for the lazy engine, built during
-/// the setup phase alongside the candidate set (each is a pure function
-/// of the scenario and candidates, independent of the greedy loop's
-/// progress): the inverted device→candidate index, candidate coordinate
-/// structure-of-arrays mirrors, the flattened coverage CSR with volumes
-/// and hover times preresolved, and the candidate × tour-point distance
-/// matrix backing store with its depot column (tour point id 0) filled.
-///
-/// The distance matrix is the loop's sqrt cache: row `c` holds candidate
-/// `c`'s distance to every tour point, indexed by the point's stable
-/// [`IncrementalTour`] id, written once when the point enters the tour
-/// and reused by every later repair, rescan and compaction rescan.
-struct LazyPre {
-    index: DeviceIndex,
-    cand_xs: Vec<f64>,
-    cand_ys: Vec<f64>,
-    cov_off: Vec<u32>,
-    cov_dev: Vec<u32>,
-    cov_data: Vec<f64>,
-    cov_rate: Vec<f64>,
-    /// Row-major `m × dcap` distance matrix (rows padded to `dcap`).
-    dmat: Vec<f64>,
-    /// Row capacity in tour-point ids; doubles when the tour outgrows it.
-    dcap: usize,
-}
-
-impl LazyPre {
-    fn build(candidates: &CandidateSet, scenario: &Scenario) -> Self {
-        let m = candidates.len();
-        let cand_xs: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.x).collect();
-        let cand_ys: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.y).collect();
-        let bandwidth = scenario.radio.bandwidth.value();
-        let mut cov_off: Vec<u32> = Vec::with_capacity(m + 1);
-        cov_off.push(0);
-        let mut cov_dev: Vec<u32> = Vec::new();
-        let mut cov_data: Vec<f64> = Vec::new();
-        let mut cov_rate: Vec<f64> = Vec::new();
-        for c in &candidates.candidates {
-            for &v in &c.covered {
-                let d = scenario.devices[v as usize].data.value();
-                cov_dev.push(v);
-                cov_data.push(d);
-                cov_rate.push(d / bandwidth);
-            }
-            cov_off.push(cov_dev.len() as u32);
-        }
-        let dcap = 64usize;
-        let mut dmat = vec![0.0f64; m * dcap];
-        let mut col: Vec<f64> = Vec::new();
-        distances_to_point(
-            &cand_xs,
-            &cand_ys,
-            scenario.depot.x,
-            scenario.depot.y,
-            &mut col,
-        );
-        for (c, &d) in col.iter().enumerate() {
-            dmat[c * dcap] = d;
-        }
-        LazyPre {
-            index: DeviceIndex::build(candidates, scenario.num_devices()),
-            cand_xs,
-            cand_ys,
-            cov_off,
-            cov_dev,
-            cov_data,
-            cov_rate,
-            dmat,
-            dcap,
-        }
-    }
-}
-
-/// Doubles the distance-matrix row capacity until tour-point `id` fits,
-/// preserving row contents (free function over the two fields so callers
-/// holding shared borrows of [`LazyPre`]'s other fields can grow it).
-/// Tops candidate `cu`'s banked distance row up to every point column
-/// the bank holds, copying the missing tail from the per-point columns
-/// (`cols[idx][c]` — the `distances_to_point` batch computed when point
-/// `idx` entered the tour). Called right before a rescan reads the row;
-/// see `filled`'s declaration for why rows are not kept current eagerly.
-fn fill_row(dmat: &mut [f64], cap: usize, filled: &mut [u32], cols: &[Vec<f64>], cu: u32) {
-    let c = cu as usize;
-    let lo = filled[c] as usize;
-    let hi = cols.len();
-    if lo < hi {
-        let row = &mut dmat[c * cap..c * cap + hi];
-        for (idx, slot) in row.iter_mut().enumerate().take(hi).skip(lo) {
-            *slot = cols[idx][c];
-        }
-        filled[c] = hi as u32;
-    }
-}
-
-fn grow_rows(dmat: &mut Vec<f64>, dcap: &mut usize, id: usize, m: usize) {
-    while id >= *dcap {
-        let ncap = *dcap * 2;
-        let mut nmat = vec![0.0f64; m * ncap];
-        for c in 0..m {
-            nmat[c * ncap..c * ncap + *dcap].copy_from_slice(&dmat[c * *dcap..(c + 1) * *dcap]);
-        }
-        *dmat = nmat;
-        *dcap = ncap;
-    }
 }
 
 /// Runs the lazy greedy loop: inverted-index dirty invalidation, exact
 /// insertion-cache repair, CELF-style heap selection. Produces the same
 /// state evolution — same plans, same operation counts — as
 /// [`run_exhaustive`] (property-tested in `tests/lazy_equivalence.rs`;
-/// the identical-output argument is in DESIGN.md §8 and §16). The
-/// individual operations are cheapened with the cached-distance machinery
-/// of `uavdc_graph::incremental`: each committed stop's distance column
-/// is computed once (vectorised) and banked in [`LazyPre`]'s matrix, so
-/// per-commit cache repair, destroyed-argmin rescans
-/// ([`cheapest_insertion_cached`]) and compaction rescans are pure table
-/// arithmetic with no repeated square roots; marginals run over a
-/// flattened coverage CSR, and compaction 2-opts the
-/// [`IncrementalTour`]'s cached matrix instead of recomputing point
-/// distances.
+/// the identical-output argument is in DESIGN.md §8 and §16). Every
+/// geometry read comes from [`LazyPre`]'s banked distances and edge
+/// cache, updated only where the tour changed: per-commit cache repair,
+/// destroyed-argmin and compaction rescans, the winner's canonical
+/// position and the tour length are pure table arithmetic with no
+/// repeated square roots; marginals run over the flattened coverage CSR.
 fn run_lazy(
     state: &mut GreedyState<'_>,
     config: &Alg2Config,
@@ -630,46 +505,12 @@ fn run_lazy(
     let capacity = scenario.uav.capacity.value();
     let per_m = scenario.uav.travel_energy_per_meter().value();
     let m = state.candidates.len();
-    let parallel_threshold = config.parallel_threshold;
-
-    // Split the prebuilt structures into disjoint field borrows: the
-    // distance matrix is written inside loops that read the others.
-    let LazyPre {
-        index,
-        cand_xs,
-        cand_ys,
-        cov_off,
-        cov_dev,
-        cov_data,
-        cov_rate,
-        dmat,
-        dcap,
-    } = pre;
-
-    // Branch-free twin of `GreedyState::marginal` over the prebuilt
-    // coverage CSR, bit-identical because the masked contributions are
-    // exact identities: volumes are non-negative and both accumulators
-    // start at +0.0, so `+= d·0.0` and `.max(rate·0.0)` leave them
-    // unchanged bit for bit.
-    let marginal_fast = |c: usize, collected: &[bool]| -> (f64, f64) {
-        let lo = cov_off[c] as usize;
-        let hi = cov_off[c + 1] as usize;
-        let mut vol = 0.0f64;
-        let mut t = 0.0f64;
-        for j in lo..hi {
-            let w = (!collected[cov_dev[j] as usize]) as u32 as f64;
-            vol += cov_data[j] * w;
-            t = t.max(cov_rate[j] * w);
-        }
-        (vol, t)
-    };
 
     let mut cache_vol = vec![0.0f64; m];
     let mut cache_t = vec![0.0f64; m];
     let mut ins = InsertionCache::new(m);
     let mut heap = LazyHeap::new(m);
     heap.enable_purge();
-    let mut inc = IncrementalTour::new((scenario.depot.x, scenario.depot.y));
 
     // The engine's one ratio formula — must stay bit-identical to
     // `evaluate_insertion` (same ops in the same order on the same
@@ -680,12 +521,10 @@ fn run_lazy(
     };
 
     // Initial full evaluation of every candidate: marginals in (possibly
-    // parallel) chunks, insertion deltas from the banked depot column
-    // (the depot-only tour's delta is `2·d`, bit-identical to
-    // `cheapest_insertion_point`).
+    // parallel) chunks, insertion deltas from the banked depot column.
     let all: Vec<u32> = (0..m as u32).collect();
-    let marg = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        marginal_fast(c as usize, &state.collected)
+    let marg = greedy::chunked_map(&all, config.parallel_threshold, |&c| {
+        pre.marginal(c as usize, &state.collected)
     });
     counters.marginal_evals += m as u64;
     counters.evaluations += m as u64;
@@ -695,7 +534,7 @@ fn run_lazy(
         if vol <= 0.0 {
             state.active[c] = false;
         } else {
-            let delta = 2.0 * dmat[c * *dcap];
+            let delta = pre.depot_delta(c);
             ins.set(c, delta, 1);
             heap.push(c, ratio_of(vol, t, delta));
         }
@@ -707,31 +546,9 @@ fn run_lazy(
     let mut tepoch = 0u32;
     let mut dirty: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
+    let mut improved: Vec<u32> = Vec::new();
     let mut rescan: Vec<u32> = Vec::new();
-    let mut col: Vec<f64> = Vec::new();
     let mut pubbuf: Vec<(u32, f64)> = Vec::new();
-    // Column bank: `cols[id][c]` = candidate `c`'s distance to tour point
-    // `id`, kept alongside the row-major matrix. Rows serve the rescans
-    // (one candidate × whole tour, contiguous); columns serve the fixups
-    // (whole candidate range × three tour points, contiguous). Same
-    // values — each column is the `distances_to_point` batch the row
-    // entries are scattered from, and a candidate active now was active
-    // at every earlier insertion (deactivation is permanent), so its row
-    // never misses a bank value.
-    let mut cols: Vec<Vec<f64>> = Vec::new();
-    let mut depot_col = vec![0.0f64; m];
-    for (c, d) in depot_col.iter_mut().enumerate() {
-        *d = dmat[c * *dcap];
-    }
-    cols.push(depot_col);
-    // Rows are backfilled from the bank on demand, when a rescan is
-    // about to read them: `filled[c]` = number of leading point columns
-    // candidate `c`'s row holds. Writing the whole new column into every
-    // active row each commit would cost a cache line per candidate per
-    // iteration; a rescan instead tops up just the few columns its row
-    // is missing (values identical either way — both copy the same
-    // `distances_to_point` batch).
-    let mut filled = vec![1u32; m];
     let mut since_compact = 0;
     loop {
         counters.iterations += 1;
@@ -758,10 +575,7 @@ fn run_lazy(
         let Some((winner, ratio)) = selected else {
             break;
         };
-        // Canonical insertion position for the winner (the cache may
-        // name a different edge of equal delta).
-        let pos =
-            cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[winner].pos).1;
+        let pos = pre.insertion_pos(winner);
         let eval = Evaluation {
             cand: winner,
             ratio,
@@ -769,58 +583,33 @@ fn run_lazy(
             insert_pos: pos,
         };
         let drained = state.commit(eval, eta_h);
-        // Mirror the commit into the incremental tour (its cached edge
-        // lengths feed the repair distances below).
-        let id = inc.append_point((cand_xs[winner], cand_ys[winner]));
-        inc.insert_id_at(id, pos);
-        grow_rows(dmat, dcap, id, m);
         since_compact += 1;
 
-        // Repair every active candidate's cached insertion delta in O(1):
-        // the new stop's distance column is computed once (vectorised),
-        // banked into the candidate's matrix row for all later rescans,
-        // and combined with the banked predecessor/successor distances;
-        // the two new tour edges come from the incremental tour's cache.
-        // Candidates whose argmin edge was destroyed collect for a
-        // cached-row rescan.
-        let ln = state.tour_pts.len();
-        let ida = inc.order()[pos - 1];
-        let idb = inc.order()[(pos + 1) % ln];
-        distances_to_point(cand_xs, cand_ys, cand_xs[winner], cand_ys[winner], &mut col);
-        debug_assert_eq!(id, cols.len());
-        let bank_a = &cols[ida];
-        let bank_b = &cols[idb];
-        let e_ap = inc.edge_costs()[pos - 1];
-        let e_pb = inc.edge_costs()[pos];
+        // Mirror the commit into the banked geometry and repair every
+        // active candidate's cached insertion delta in O(1); candidates
+        // whose argmin edge was destroyed collect for a banked-row
+        // rescan.
         tepoch = tepoch.wrapping_add(1);
         touched.clear();
-        rescan.clear();
-        let cap = *dcap;
-        for c in 0..m {
-            if !state.active[c] {
-                continue;
-            }
-            counters.fixups += 1;
-            let d = RepairDists {
-                d_a: bank_a[c],
-                d_p: col[c],
-                d_b: bank_b[c],
-                e_ap,
-                e_pb,
-            };
-            match ins.apply_insertion_cols(c, d, pos) {
-                Fixup::Unchanged => {}
-                Fixup::Improved => touch(&mut tstamp, tepoch, &mut touched, c as u32),
-                Fixup::Invalidated => rescan.push(c as u32),
-            }
+        counters.fixups += pre.insert(
+            winner,
+            pos,
+            &mut ins,
+            |c| state.active[c],
+            &mut improved,
+            &mut rescan,
+        );
+        for &cu in &improved {
+            touch(&mut tstamp, tepoch, &mut touched, cu);
         }
-        cols.push(std::mem::take(&mut col));
+        state.tour_len = pre.tour_len();
 
         // Re-evaluate the marginal reward of candidates sharing a
         // drained device; fully-drained ones deactivate (the exhaustive
         // sweep would catch exactly these this iteration).
         epoch = epoch.wrapping_add(1);
-        index.dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
+        pre.index
+            .dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
         rec.observe("alg2.dirty_batch", dirty.len() as u64);
         for &cu in &dirty {
             let c = cu as usize;
@@ -829,7 +618,7 @@ fn run_lazy(
             }
             counters.marginal_evals += 1;
             counters.evaluations += 1;
-            let (vol, t) = marginal_fast(c, &state.collected);
+            let (vol, t) = pre.marginal(c, &state.collected);
             cache_vol[c] = vol;
             cache_t[c] = t;
             if vol <= 0.0 {
@@ -839,40 +628,13 @@ fn run_lazy(
             }
         }
 
-        // Rescan destroyed insertion deltas from the banked distance
-        // rows — pure table arithmetic, no recomputed square roots.
+        // Rescan destroyed insertion deltas from the bank.
         rescan.retain(|&c| state.active[c as usize]);
-        if !rescan.is_empty() {
-            counters.delta_rescans += rescan.len() as u64;
-            counters.evaluations += rescan.len() as u64;
-            let order = inc.order();
-            let elen = inc.edge_costs();
-            for &cu in &rescan {
-                fill_row(dmat, cap, &mut filled, &cols, cu);
-            }
-            for ch in rescan.chunks(4) {
-                if let &[c0, c1, c2, c3] = ch {
-                    let row = |cu: u32| &dmat[cu as usize * cap..(cu as usize + 1) * cap];
-                    let out = cheapest_insertion_cached4(
-                        [row(c0), row(c1), row(c2), row(c3)],
-                        order,
-                        elen,
-                    );
-                    for (&cu, &(delta, p)) in ch.iter().zip(&out) {
-                        ins.set(cu as usize, delta, p as usize);
-                        touch(&mut tstamp, tepoch, &mut touched, cu);
-                    }
-                } else {
-                    for &cu in ch {
-                        let c = cu as usize;
-                        let (delta, p) =
-                            cheapest_insertion_cached(&dmat[c * cap..(c + 1) * cap], order, elen);
-                        ins.set(c, delta, p as usize);
-                        touch(&mut tstamp, tepoch, &mut touched, cu);
-                    }
-                }
-            }
-        }
+        counters.delta_rescans += rescan.len() as u64;
+        counters.evaluations += rescan.len() as u64;
+        pre.rescan(&mut ins, &rescan, |cu, _| {
+            touch(&mut tstamp, tepoch, &mut touched, cu)
+        });
 
         // Publish fresh heap entries for every candidate whose caches
         // changed (this is also what lets a parked candidate re-enter
@@ -895,44 +657,17 @@ fn run_lazy(
         // rescan all active candidates and return parked ones to
         // contention.
         if since_compact >= 8 {
-            if lazy_compact(state, &mut inc) {
+            if lazy_compact(state, pre) {
                 let alive: Vec<u32> = (0..m as u32)
                     .filter(|&c| state.active[c as usize])
                     .collect();
                 counters.delta_rescans += alive.len() as u64;
                 counters.evaluations += alive.len() as u64;
-                let order = inc.order();
-                let elen = inc.edge_costs();
                 pubbuf.clear();
-                for &cu in &alive {
-                    fill_row(dmat, cap, &mut filled, &cols, cu);
-                }
-                for ch in alive.chunks(4) {
-                    if let &[c0, c1, c2, c3] = ch {
-                        let row = |cu: u32| &dmat[cu as usize * cap..(cu as usize + 1) * cap];
-                        let out = cheapest_insertion_cached4(
-                            [row(c0), row(c1), row(c2), row(c3)],
-                            order,
-                            elen,
-                        );
-                        for (&cu, &(delta, p)) in ch.iter().zip(&out) {
-                            let c = cu as usize;
-                            ins.set(c, delta, p as usize);
-                            pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
-                        }
-                    } else {
-                        for &cu in ch {
-                            let c = cu as usize;
-                            let (delta, p) = cheapest_insertion_cached(
-                                &dmat[c * cap..(c + 1) * cap],
-                                order,
-                                elen,
-                            );
-                            ins.set(c, delta, p as usize);
-                            pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
-                        }
-                    }
-                }
+                pre.rescan(&mut ins, &alive, |cu, delta| {
+                    let c = cu as usize;
+                    pubbuf.push((cu, ratio_of(cache_vol[c], cache_t[c], delta)));
+                });
                 for &(cu, r) in &pubbuf {
                     heap.push(cu as usize, r);
                 }
@@ -941,8 +676,8 @@ fn run_lazy(
             since_compact = 0;
         }
     }
-    lazy_compact(state, &mut inc);
-    counters.tour_patches += inc.counters().tour_patches;
+    lazy_compact(state, pre);
+    counters.tour_patches += pre.tour_patches();
 }
 
 impl Alg2Planner {

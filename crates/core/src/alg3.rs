@@ -18,7 +18,7 @@
 
 use crate::candidates::CandidateSet;
 use crate::greedy::{
-    self, DeviceIndex, EngineMode, EvalCounters, Fixup, InsertionCache, LazyHeap, PlanStats, Probe,
+    self, touch, EngineMode, EvalCounters, InsertionCache, LazyHeap, LazyPre, PlanStats, Probe,
 };
 use crate::plan::{CollectionPlan, HoverStop};
 use crate::tourutil::{cheapest_insertion_point, closed_tour_length};
@@ -36,7 +36,9 @@ pub struct Alg3Config {
     /// Number of sojourn partitions `K >= 1`; `K = 1` degenerates to full
     /// collection per stop (Algorithm 2 behaviour).
     pub k: usize,
-    /// Parallelise candidate evaluation above this candidate count.
+    /// Parallelise the exhaustive engine's candidate scan above this
+    /// candidate count (the lazy engine's per-iteration work is a few
+    /// dirty candidates and runs serially).
     pub parallel_threshold: usize,
     /// Per-iteration evaluation strategy ([`EngineMode::Lazy`] default).
     pub engine: EngineMode,
@@ -183,8 +185,10 @@ impl<'a> PartialState<'a> {
     /// Commits the chosen virtual location. Returns the volume collected,
     /// the drained device ids (the lazy engine's dirty seed), and the
     /// tour position the stop was inserted at (`None` when an existing
-    /// stop's sojourn was extended — the tour is untouched then). Does
-    /// **not** deactivate exhausted candidates; see
+    /// stop's sojourn was extended — the tour is untouched then). After
+    /// an insertion the caller sets `tour_len` (the exhaustive engine
+    /// from the points, the lazy one from its edge cache). Does **not**
+    /// deactivate exhausted candidates; see
     /// [`PartialState::deactivate_exhausted`].
     fn commit(&mut self, eval: VirtualEval, eta_h: f64) -> (f64, Vec<u32>, Option<usize>) {
         let b = self.scenario.radio.bandwidth.value();
@@ -220,7 +224,6 @@ impl<'a> PartialState<'a> {
             self.stop_of_candidate[eval.cand] = idx;
             self.tour_pts.insert(eval.insert_pos, pos);
             self.stop_of.insert(eval.insert_pos, idx);
-            self.tour_len = closed_tour_length(&self.tour_pts);
             inserted_at = Some(eval.insert_pos);
         }
         self.hover_energy_total += eval.tau * eta_h;
@@ -238,15 +241,6 @@ impl<'a> PartialState<'a> {
                 }
             }
         }
-    }
-
-    /// Whether candidate `c`'s covered devices are all exhausted (the
-    /// per-candidate form of the deactivation sweep).
-    fn is_exhausted(&self, c: usize) -> bool {
-        self.candidates.candidates[c]
-            .covered
-            .iter()
-            .all(|&v| self.residual[v as usize] <= 1e-9)
     }
 
     fn into_plan(self) -> CollectionPlan {
@@ -293,34 +287,91 @@ struct Power {
     per_m: f64,
 }
 
+/// The lazy engine's per-candidate caches: the full residual hover time
+/// `t(s)`, the per-k `(τ, volume)` arrays (row `c` at `c·kp..(c+1)·kp`),
+/// and the cheapest-insertion deltas.
+struct VirtualCache {
+    kp: usize,
+    t_full: Vec<f64>,
+    tau: Vec<f64>,
+    vol: Vec<f64>,
+    ins: InsertionCache,
+}
+
+impl VirtualCache {
+    fn new(m: usize, kp: usize) -> Self {
+        VirtualCache {
+            kp,
+            t_full: vec![0.0; m],
+            tau: vec![0.0; m * kp],
+            vol: vec![0.0; m * kp],
+            ins: InsertionCache::new(m),
+        }
+    }
+
+    /// Recomputes candidate `c`'s `t_full` and per-k `(τ, volume)` in
+    /// place from the residuals of its `covered` devices, and returns
+    /// whether every one of them is exhausted (residual ≤ 1e-9, the
+    /// deactivation test of [`PartialState::deactivate_exhausted`]).
+    /// Mirrors the loops of [`PartialState::evaluate`] value for value:
+    /// the K volume sums share one pass over the devices, but each is
+    /// still the left-to-right fold `Iterator::sum` performs, from the
+    /// same neutral element.
+    fn refresh(&mut self, c: usize, covered: &[u32], residual: &[f64], b: f64) -> bool {
+        let kp = self.kp;
+        let mut tf = 0.0f64;
+        let mut exhausted = true;
+        for &v in covered {
+            let r = residual[v as usize];
+            tf = tf.max(r / b);
+            exhausted &= r <= 1e-9;
+        }
+        self.t_full[c] = tf;
+        let taus = &mut self.tau[c * kp..(c + 1) * kp];
+        let vols = &mut self.vol[c * kp..(c + 1) * kp];
+        if tf > 0.0 {
+            for (k, t) in taus.iter_mut().enumerate() {
+                *t = tf * ((k + 1) as f64) / (kp as f64);
+            }
+            vols.fill(std::iter::empty::<f64>().sum());
+            for &v in covered {
+                let r = residual[v as usize];
+                for (acc, &t) in vols.iter_mut().zip(taus.iter()) {
+                    *acc += r.min(b * t);
+                }
+            }
+        } else {
+            taus.fill(0.0);
+            vols.fill(0.0);
+        }
+        exhausted
+    }
+}
+
 /// Best virtual location of candidate `c` from the *cached* per-k
 /// marginals, mirroring [`PartialState::evaluate`] bit for bit. With
 /// `feasible_only` the battery filter applies (selection); without it the
 /// result is the heap's upper-bound key — valid because the feasible k
 /// subset only shrinks between cache refreshes (the tour never shortens
 /// in Algorithm 3). Returns `(ratio, tau)`.
-#[allow(clippy::too_many_arguments)]
 fn cached_best_k(
     st: &PartialState<'_>,
-    ins: &InsertionCache,
-    t_full: &[f64],
-    tau: &[f64],
-    vol: &[f64],
-    kp: usize,
+    vc: &VirtualCache,
     c: usize,
     power: Power,
     feasible_only: bool,
 ) -> Option<(f64, f64)> {
-    if t_full[c] <= 0.0 {
+    if vc.t_full[c] <= 0.0 {
         return None;
     }
     let on_tour = st.stop_of_candidate[c] != usize::MAX;
-    let delta_len = if on_tour { 0.0 } else { ins.get(c)?.0 };
+    let delta_len = if on_tour { 0.0 } else { vc.ins.get(c)?.0 };
     let travel_extra = delta_len * power.per_m;
+    let kp = vc.kp;
     let mut best: Option<(f64, f64)> = None;
     for k in 0..kp {
-        let tk = tau[c * kp + k];
-        let vk = vol[c * kp + k];
+        let tk = vc.tau[c * kp + k];
+        let vk = vc.vol[c * kp + k];
         if vk <= 1e-9 {
             continue;
         }
@@ -354,7 +405,10 @@ fn run_exhaustive(
         counters.evaluations += state.candidates.len() as u64;
         match best_virtual(state, config.k, config.parallel_threshold) {
             Some(eval) => {
-                let (got, _, _) = state.commit(eval, eta_h);
+                let (got, _, inserted_at) = state.commit(eval, eta_h);
+                if inserted_at.is_some() {
+                    state.tour_len = closed_tour_length(&state.tour_pts);
+                }
                 state.deactivate_exhausted();
                 if got <= 1e-9 {
                     break;
@@ -366,13 +420,18 @@ fn run_exhaustive(
 }
 
 /// Runs the lazy greedy loop over virtual locations. Caches `t_full` and
-/// the per-k `(τ, volume)` arrays per candidate (refreshed when a shared
-/// device drains), the cheapest-insertion delta (repaired in O(1) per
-/// tour insertion; sojourn extensions leave the tour untouched), and
-/// selects through the CELF heap whose keys are the unconditional max-k
-/// ratios — exact upper bounds that [`Probe::Feasible`] decays as the
-/// battery filters out deeper sojourns. Produces the same plans as
-/// [`run_exhaustive`] (property-tested; DESIGN.md §8).
+/// the per-k `(τ, volume)` arrays per candidate (refreshed in place over
+/// [`LazyPre`]'s coverage CSR when a shared device drains), the
+/// cheapest-insertion delta (repaired in O(1) per tour insertion from the
+/// banked distance columns; sojourn extensions leave the tour untouched),
+/// and selects through the CELF heap whose keys are the unconditional
+/// max-k ratios — exact upper bounds that [`Probe::Feasible`] decays as
+/// the battery filters out deeper sojourns. Destroyed-argmin rescans, the
+/// winner's canonical insertion position and the tour length come from
+/// the bank and the mirrored tour's edge cache, so no iteration
+/// recomputes a distance the tour already has. Produces the same plans as
+/// [`run_exhaustive`] (property-tested in
+/// `tests/alg3_incremental_equivalence.rs`; DESIGN.md §8).
 fn run_lazy(
     state: &mut PartialState<'_>,
     config: &Alg3Config,
@@ -380,6 +439,7 @@ fn run_lazy(
     max_iters: usize,
     counters: &mut EvalCounters,
     rec: &dyn Recorder,
+    pre: &mut LazyPre,
 ) {
     let scenario = state.scenario;
     let power = Power {
@@ -389,71 +449,34 @@ fn run_lazy(
     };
     let b = scenario.radio.bandwidth.value();
     let m = state.candidates.len();
-    let kp = config.k;
-    let parallel_threshold = config.parallel_threshold;
-
-    let index = DeviceIndex::build(state.candidates, scenario.num_devices());
-    let mut t_full = vec![0.0f64; m];
-    let mut tau = vec![0.0f64; m * kp];
-    let mut vol = vec![0.0f64; m * kp];
-    let mut ins = InsertionCache::new(m);
+    let mut vc = VirtualCache::new(m, config.k);
     let mut heap = LazyHeap::new(m);
 
-    // Mirrors the t_full / per-k (τ, vol) loops of
-    // `PartialState::evaluate` exactly (same iteration order, same ops).
-    let eval_marginal = |st: &PartialState<'_>, c: usize| -> (f64, Vec<f64>, Vec<f64>) {
-        let covered = &st.candidates.candidates[c].covered;
-        let mut tf = 0.0f64;
-        for &v in covered {
-            tf = tf.max(st.residual[v as usize] / b);
-        }
-        let mut taus = vec![0.0f64; kp];
-        let mut vols = vec![0.0f64; kp];
-        if tf > 0.0 {
-            for k in 1..=kp {
-                let t = tf * (k as f64) / (kp as f64);
-                taus[k - 1] = t;
-                vols[k - 1] = covered
-                    .iter()
-                    .map(|&v| st.residual[v as usize].min(b * t))
-                    .sum();
-            }
-        }
-        (tf, taus, vols)
-    };
-
-    // Initial full evaluation (parallel when large).
-    let all: Vec<u32> = (0..m as u32).collect();
-    let marginals = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        eval_marginal(state, c as usize)
-    });
-    let deltas = greedy::chunked_map(&all, parallel_threshold, |&c| {
-        cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[c as usize].pos)
-    });
+    // Initial full evaluation: marginals over the CSR, insertion deltas
+    // from the banked depot column.
     counters.marginal_evals += m as u64;
     counters.evaluations += m as u64;
     // Candidates already exhausted at the start: the exhaustive sweep
     // only deactivates them *after* the first commit, so record them now
     // and deactivate at the same point.
     let mut init_exhausted: Vec<u32> = Vec::new();
-    for (c, (tf, taus, vols)) in marginals.into_iter().enumerate() {
-        t_full[c] = tf;
-        tau[c * kp..(c + 1) * kp].copy_from_slice(&taus);
-        vol[c * kp..(c + 1) * kp].copy_from_slice(&vols);
-        ins.set(c, deltas[c].0, deltas[c].1);
-        if state.is_exhausted(c) {
+    for c in 0..m {
+        if vc.refresh(c, pre.covered(c), &state.residual, b) {
             init_exhausted.push(c as u32);
         }
-        if let Some((key, _)) = cached_best_k(state, &ins, &t_full, &tau, &vol, kp, c, power, false)
-        {
+        vc.ins.set(c, pre.depot_delta(c), 1);
+        if let Some((key, _)) = cached_best_k(state, &vc, c, power, false) {
             heap.push(c, key);
         }
     }
 
     let mut stamp = vec![0u32; m];
     let mut epoch = 0u32;
+    let mut tstamp = vec![0u32; m];
+    let mut tepoch = 0u32;
     let mut dirty: Vec<u32> = Vec::new();
     let mut touched: Vec<u32> = Vec::new();
+    let mut improved: Vec<u32> = Vec::new();
     let mut rescan: Vec<u32> = Vec::new();
     let mut first_commit_done = false;
     for _ in 0..max_iters {
@@ -461,7 +484,7 @@ fn run_lazy(
         let mut pops = 0u64;
         let selected = heap.select(
             |c| state.active[c],
-            |c| match cached_best_k(state, &ins, &t_full, &tau, &vol, kp, c, power, true) {
+            |c| match cached_best_k(state, &vc, c, power, true) {
                 None => Probe::Infeasible,
                 Some((ratio, _)) => Probe::Feasible(ratio),
             },
@@ -472,17 +495,14 @@ fn run_lazy(
         let Some((winner, ratio)) = selected else {
             break;
         };
-        let Some((_, wtau)) =
-            cached_best_k(state, &ins, &t_full, &tau, &vol, kp, winner, power, true)
-        else {
+        let Some((_, wtau)) = cached_best_k(state, &vc, winner, power, true) else {
             break; // unreachable: the probe just reported it feasible
         };
         let on_tour = state.stop_of_candidate[winner] != usize::MAX;
         let insert_pos = if on_tour {
             usize::MAX
         } else {
-            // Canonical position (the cache may name an equal-delta edge).
-            cheapest_insertion_point(&state.tour_pts, state.candidates.candidates[winner].pos).1
+            pre.insertion_pos(winner)
         };
         let eval = VirtualEval {
             cand: winner,
@@ -500,48 +520,43 @@ fn run_lazy(
             break;
         }
 
-        // Repair cached insertion deltas when the tour gained a vertex
-        // (sojourn extensions leave every delta exact).
+        // Mirror a tour insertion into the banked geometry and repair
+        // every off-tour candidate's cached delta (sojourn extensions
+        // leave the tour, and with it every delta, untouched).
+        tepoch = tepoch.wrapping_add(1);
         touched.clear();
         rescan.clear();
         if let Some(ins_pos) = inserted_at {
-            for c in 0..m {
-                if !state.active[c] || state.stop_of_candidate[c] != usize::MAX {
-                    continue;
-                }
-                counters.fixups += 1;
-                match ins.apply_insertion(
-                    c,
-                    state.candidates.candidates[c].pos,
-                    &state.tour_pts,
-                    ins_pos,
-                ) {
-                    Fixup::Unchanged => {}
-                    Fixup::Improved => touched.push(c as u32),
-                    Fixup::Invalidated => rescan.push(c as u32),
-                }
+            counters.fixups += pre.insert(
+                winner,
+                ins_pos,
+                &mut vc.ins,
+                |c| state.active[c] & (state.stop_of_candidate[c] == usize::MAX),
+                &mut improved,
+                &mut rescan,
+            );
+            for &cu in &improved {
+                touch(&mut tstamp, tepoch, &mut touched, cu);
             }
+            state.tour_len = pre.tour_len();
         }
 
         // Refresh marginals of candidates sharing a drained device.
         epoch = epoch.wrapping_add(1);
-        index.dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
+        pre.index
+            .dirty_candidates(drained.iter().copied(), &mut stamp, epoch, &mut dirty);
         rec.observe("alg3.dirty_batch", dirty.len() as u64);
-        for &c in &dirty {
-            let c = c as usize;
+        for &cu in &dirty {
+            let c = cu as usize;
             if !state.active[c] {
                 continue;
             }
             counters.marginal_evals += 1;
             counters.evaluations += 1;
-            let (tf, taus, vols) = eval_marginal(state, c);
-            t_full[c] = tf;
-            tau[c * kp..(c + 1) * kp].copy_from_slice(&taus);
-            vol[c * kp..(c + 1) * kp].copy_from_slice(&vols);
-            if state.is_exhausted(c) {
+            if vc.refresh(c, pre.covered(c), &state.residual, b) {
                 state.active[c] = false;
             } else {
-                touched.push(c as u32);
+                touch(&mut tstamp, tepoch, &mut touched, cu);
             }
         }
         if !first_commit_done {
@@ -551,35 +566,22 @@ fn run_lazy(
             first_commit_done = true;
         }
 
-        // Rescan destroyed insertion deltas as one dirty batch.
+        // Rescan destroyed insertion deltas from the bank.
         rescan.retain(|&c| state.active[c as usize]);
-        if !rescan.is_empty() {
-            counters.delta_rescans += rescan.len() as u64;
-            counters.evaluations += rescan.len() as u64;
-            let fresh = greedy::chunked_map(&rescan, parallel_threshold, |&c| {
-                cheapest_insertion_point(
-                    &state.tour_pts,
-                    state.candidates.candidates[c as usize].pos,
-                )
-            });
-            for (&c, &(d, p)) in rescan.iter().zip(&fresh) {
-                ins.set(c as usize, d, p);
-                touched.push(c);
-            }
-        }
+        counters.delta_rescans += rescan.len() as u64;
+        counters.evaluations += rescan.len() as u64;
+        pre.rescan(&mut vc.ins, &rescan, |cu, _| {
+            touch(&mut tstamp, tepoch, &mut touched, cu)
+        });
 
         // Publish fresh heap keys for every candidate whose caches
         // changed (also how a parked candidate re-enters contention).
-        touched.sort_unstable();
-        touched.dedup();
         for &c in &touched {
             let c = c as usize;
             if !state.active[c] {
                 continue;
             }
-            if let Some((key, _)) =
-                cached_best_k(state, &ins, &t_full, &tau, &vol, kp, c, power, false)
-            {
+            if let Some((key, _)) = cached_best_k(state, &vc, c, power, false) {
                 heap.push(c, key);
             }
         }
@@ -655,18 +657,27 @@ impl Alg3Planner {
             .saturating_mul(4)
             + 64;
         let eta_h = scenario.uav.hover_power.value();
+        // The lazy engine's accelerator is input-derived (scenario +
+        // candidate set only), so it is built in the setup phase, as
+        // Algorithm 2 builds its own; the loop span covers the greedy
+        // search proper for both engines.
+        let pre = match self.config.engine {
+            EngineMode::Lazy => Some(LazyPre::build(candidates, scenario)),
+            EngineMode::Exhaustive => None,
+        };
         stats.setup_ns = setup_span.finish();
         let loop_span = root.child("loop");
-        match self.config.engine {
-            EngineMode::Lazy => run_lazy(
+        match pre {
+            Some(mut pre) => run_lazy(
                 &mut state,
                 &self.config,
                 eta_h,
                 max_iters,
                 &mut stats.counters,
                 rec,
+                &mut pre,
             ),
-            EngineMode::Exhaustive => run_exhaustive(
+            None => run_exhaustive(
                 &mut state,
                 &self.config,
                 eta_h,

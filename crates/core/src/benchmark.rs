@@ -105,8 +105,9 @@ struct PruneState<'a> {
     pts: Vec<Point2>,
     /// Device hovered above per tour index (`usize::MAX` for the depot).
     dev_of: Vec<usize>,
-    /// Devices within `R0` of each device's position (by device index).
-    coverage: Vec<Vec<u32>>,
+    /// Devices within `R0` of each device's position (by device index),
+    /// borrowed from the [`BenchmarkSetup`]: the pruner only reads it.
+    coverage: &'a [Vec<u32>],
 }
 
 impl<'a> PruneState<'a> {
@@ -189,15 +190,28 @@ fn prune_exhaustive(state: &mut PruneState<'_>, counters: &mut EvalCounters) {
 }
 
 /// Incremental pruning: maintains per-device covering-stop counts, the
-/// first-covering-stop assignment, per-stop hover seconds, and cached
-/// per-stop `lost` sums across removals, so each iteration recomputes
-/// only the stops a removal actually touched. The argmin itself stays the
-/// exhaustive pass's plain ascending strict-`<` fold over O(|tour|)
-/// cached values, and every cached quantity is kept bit-identical to the
-/// full rescan (same filtered coverage-order sums, max-merged hover
-/// times, fresh O(|tour|) energy totals per iteration), so the removal
-/// sequence — and the final plan — matches [`prune_exhaustive`] exactly
-/// (property-tested; DESIGN.md §8).
+/// first-covering-stop assignment, per-stop hover seconds, cached
+/// per-stop `lost` sums, the tour's edge lengths and each stop's
+/// prev→next "skip" distance, and each stop's removal ratio across
+/// removals, so each iteration recomputes only what a removal touched
+/// and takes no square root.
+///
+/// A removal at position `j` replaces edges `j−1→j` and `j→j+1` by the
+/// cached skip `j−1→j+1`, and changes the neighbours (hence the skip and
+/// the ratio) of only the two stops beside it. A ratio is recomputed when
+/// its stop's loss, hover time or neighbours changed. On a two-point tour
+/// the lone stop's skip is the depot's distance to itself, 0, so
+/// `prev→cur + cur→next − skip` is the whole tour length there, bit for
+/// bit what `removal_delta` returns. The tour length is the fresh
+/// left-to-right sum of the cached edges, the energy totals are fresh
+/// O(|tour|) sums in `assignments` order, and the argmin is the
+/// exhaustive pass's plain ascending strict-`<` fold. Every cached
+/// quantity is the value the full rescan computes, bit for bit (same
+/// distance pairs, same association, same filtered coverage-order sums,
+/// max-merged hover times), so the removal sequence — and the final plan
+/// — matches [`prune_exhaustive`] exactly (property-tested in
+/// `tests/alg3_incremental_equivalence.rs` and `tests/lazy_equivalence.rs`;
+/// DESIGN.md §8).
 fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn Recorder) {
     let scenario = state.scenario;
     let n = scenario.num_devices();
@@ -239,64 +253,105 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
     // Cached marginal loss per stop; every entry starts dirty.
     let mut lost: Vec<f64> = vec![0.0; len0];
     let mut lost_dirty: Vec<bool> = vec![true; len0];
+    // Tour geometry: `edge[i]` = |pts[i] pts[i+1 mod n]|, `skip[i]` =
+    // |pts[i−1] pts[i+1 mod n]| for stops `i >= 1` (the depot's entry is
+    // unused), with the same point pairs `closed_tour_length` and
+    // `removal_delta` measure.
+    let pts = &state.pts;
+    let mut edge: Vec<f64> = (0..len0)
+        .map(|i| pts[i].distance(pts[(i + 1) % len0]))
+        .collect();
+    let mut skip: Vec<f64> = (0..len0)
+        .map(|i| match i {
+            0 => 0.0,
+            _ => pts[i - 1].distance(pts[(i + 1) % len0]),
+        })
+        .collect();
+    // Cached removal ratio per stop; every entry starts dirty.
+    let mut ratio: Vec<f64> = vec![0.0; len0];
+    let mut ratio_dirty: Vec<bool> = vec![true; len0];
 
     loop {
         counters.iterations += 1;
+        let len = state.pts.len();
         // Fresh O(|tour|) energy totals each iteration, accumulated in
-        // the same order as `assignments` for bit-identical sums.
+        // the same order as `assignments` and `closed_tour_length` for
+        // bit-identical sums (one pass, so the two addition chains
+        // overlap; starting the length at the first edge equals the
+        // `Sum` fold's, since an edge length is never -0.0).
         let mut hover_energy = 0.0f64;
-        for &h in hover_s.iter().skip(1) {
+        let mut tour_len = edge[0];
+        for (&h, &e) in hover_s.iter().zip(&edge).skip(1) {
             hover_energy += h * eta_h;
+            tour_len += e;
         }
-        let tour_len = closed_tour_length(&state.pts);
-        if hover_energy + tour_len * per_m <= capacity || state.pts.len() <= 1 {
+        if hover_energy + tour_len * per_m <= capacity || len <= 1 {
             break;
         }
-        // Refresh stale loss caches (the filtered sum runs in coverage
-        // order, exactly like the exhaustive pass).
+        // One ascending pass: refresh stale loss caches (the filtered
+        // sum runs in coverage order, exactly like the exhaustive pass),
+        // then stale ratios, folding the argmin as it goes.
         let mut refreshed = 0u64;
-        for i in 1..state.pts.len() {
-            if !lost_dirty[i] {
-                continue;
-            }
-            lost_dirty[i] = false;
-            counters.marginal_evals += 1;
-            counters.evaluations += 1;
-            refreshed += 1;
-            let dev = state.dev_of[i];
-            lost[i] = state.coverage[dev]
-                .iter()
-                .filter(|&&v| covering_stops[v as usize] == 1)
-                .map(|&v| scenario.devices[v as usize].data.value())
-                .sum();
-        }
-        rec.observe("bench.loss_refreshes_per_iter", refreshed);
         let mut best_idx = usize::MAX;
         let mut best_ratio = f64::INFINITY;
-        #[allow(clippy::needless_range_loop)] // several arrays indexed by i
-        for i in 1..state.pts.len() {
-            let saved = removal_delta(&state.pts, i) * per_m + hover_s[i] * eta_h;
-            let ratio = lost[i] / saved.max(1e-12);
-            if ratio < best_ratio {
-                best_ratio = ratio;
+        for i in 1..len {
+            if lost_dirty[i] {
+                lost_dirty[i] = false;
+                ratio_dirty[i] = true;
+                counters.marginal_evals += 1;
+                counters.evaluations += 1;
+                refreshed += 1;
+                lost[i] = state.coverage[state.dev_of[i]]
+                    .iter()
+                    .filter(|&&v| covering_stops[v as usize] == 1)
+                    .map(|&v| scenario.devices[v as usize].data.value())
+                    .sum();
+            }
+            if ratio_dirty[i] {
+                ratio_dirty[i] = false;
+                // `removal_delta`: prev→cur + cur→next − prev→next. On a
+                // two-point tour the skip is depot→depot = 0, so this is
+                // the whole out-and-back leg, as `removal_delta` has it.
+                let delta = edge[i - 1] + edge[i] - skip[i];
+                let saved = delta * per_m + hover_s[i] * eta_h;
+                ratio[i] = lost[i] / saved.max(1e-12);
+            }
+            if ratio[i] < best_ratio {
+                best_ratio = ratio[i];
                 best_idx = i;
             }
         }
+        rec.observe("bench.loss_refreshes_per_iter", refreshed);
         if best_idx == usize::MAX {
             break;
         }
         // Remove the stop and repair the incremental structures.
-        let removed_dev = state.dev_of[best_idx];
-        let orphans = std::mem::take(&mut assigned[best_idx]);
-        state.pts.remove(best_idx);
-        state.dev_of.remove(best_idx);
-        assigned.remove(best_idx);
-        hover_s.remove(best_idx);
-        lost.remove(best_idx);
-        lost_dirty.remove(best_idx);
+        let j = best_idx;
+        let removed_dev = state.dev_of[j];
+        let orphans = std::mem::take(&mut assigned[j]);
+        state.pts.remove(j);
+        state.dev_of.remove(j);
+        assigned.remove(j);
+        hover_s.remove(j);
+        lost.remove(j);
+        lost_dirty.remove(j);
+        ratio.remove(j);
+        ratio_dirty.remove(j);
+        // Edges j−1→j and j→j+1 become the skip j−1→j+1; the stops now
+        // at j−1 and j (mod the new length) have new neighbours.
+        edge[j - 1] = skip[j];
+        edge.remove(j);
+        skip.remove(j);
+        let len = state.pts.len();
+        for i in [j - 1, j % len] {
+            if i != 0 {
+                skip[i] = state.pts[i - 1].distance(state.pts[(i + 1) % len]);
+                ratio_dirty[i] = true;
+            }
+        }
         device_pos[removed_dev] = usize::MAX;
         for p in device_pos.iter_mut() {
-            if *p != usize::MAX && *p > best_idx {
+            if *p != usize::MAX && *p > j {
                 *p -= 1;
             }
         }
@@ -327,6 +382,7 @@ fn prune_lazy(state: &mut PruneState<'_>, counters: &mut EvalCounters, rec: &dyn
             if next != usize::MAX {
                 assigned[next].push(v);
                 hover_s[next] = hover_s[next].max(scenario.devices[v as usize].data.value() / b);
+                ratio_dirty[next] = true;
             }
         }
     }
@@ -366,7 +422,8 @@ impl BenchmarkPlanner {
     /// `prepared` must be exactly what
     /// [`BenchmarkSetup::build_obs`] would produce for this scenario (the
     /// keying contract of `uavdc-bench`'s artifact cache). The pruning
-    /// loop runs on a clone of the artifact either way, so cold and
+    /// loop runs on a copy of the artifact's tour and reads its coverage
+    /// lists in place either way, so cold and
     /// prepared runs share every instruction after setup and produce
     /// bit-identical plans and counters (property-tested in
     /// `uavdc-bench/tests/service_cache_invisibility.rs`); only
@@ -407,7 +464,7 @@ impl BenchmarkPlanner {
             scenario,
             pts: setup.pts.clone(),
             dev_of: setup.dev_of.clone(),
-            coverage: setup.coverage.clone(),
+            coverage: &setup.coverage,
         };
         stats.setup_ns = setup_span.finish();
 

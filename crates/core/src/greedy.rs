@@ -19,6 +19,16 @@
 //!   edges) and only candidates whose cached argmin edge was the removed
 //!   one need a full rescan. 2-opt compaction rebuilds wholesale, and only
 //!   when it actually changed the tour.
+//! * `LazyPre` — the tour geometry both insertion loops (Algorithms 2
+//!   and 3) read, updated only where the tour changed: a bank of
+//!   candidate → tour-point distance columns, each computed once when its
+//!   point enters the tour, and an `IncrementalTour` mirror whose cached
+//!   edge lengths give the repair edges and the tour length. Repairs,
+//!   rescans, the winner's canonical insertion position and the battery
+//!   test's tour length are then table arithmetic — no iteration
+//!   recomputes a distance the tour already has. It also holds the
+//!   device index and the flattened coverage lists the marginals run
+//!   over.
 //! * [`LazyHeap`] — a CELF-style max-heap of generation-stamped cached ρ
 //!   values. The planner re-pushes an entry whenever a candidate's cache
 //!   changes, so every live entry is exact; selection pops the top, asks
@@ -26,7 +36,8 @@
 //!   entry, CELF-style, when the battery rules out its best variant),
 //!   parks candidates that cannot fit until slack reappears, and resolves
 //!   near-ties with the same `1e-15` band + lowest-candidate-index fold
-//!   the exhaustive serial scan uses.
+//!   the exhaustive serial scan uses. A selection that finds nothing
+//!   feasible retires the whole heap in one linear pass.
 //! * `chunked_argmax` / `chunked_map` — the one shared
 //!   implementation of the scoped-thread chunked scan that
 //!   `alg2::best_evaluation` and `alg3::best_virtual` used to duplicate,
@@ -43,7 +54,8 @@
 //! *approximates* — every cached quantity a selection reads is equal to
 //! what a fresh evaluation would produce, because each mutation event
 //! (device drain, edge removal, tour compaction) eagerly re-evaluates or
-//! repairs exactly the caches it touched. Selection then reproduces the
+//! repairs exactly the caches it touched, and every banked distance is
+//! the `Point2::distance` of the same pair. Selection then reproduces the
 //! serial fold's comparator, so the winning candidate — and therefore the
 //! committed plan — matches the exhaustive scan bit for bit.
 
@@ -51,7 +63,8 @@ use std::collections::BinaryHeap;
 use std::sync::OnceLock;
 
 use crate::candidates::CandidateSet;
-use uavdc_geom::Point2;
+use uavdc_graph::incremental::{cheapest_insertions_banked, distances_to_point, IncrementalTour};
+use uavdc_net::Scenario;
 
 /// Ratio-comparison band shared with the exhaustive scans: `a` beats `b`
 /// only when `a.ratio > b.ratio + RATIO_BAND`, and exact ties go to the
@@ -298,23 +311,23 @@ impl DeviceIndex {
     }
 }
 
+/// Epoch-stamped membership push: `touched` accumulates each candidate at
+/// most once per epoch, replacing a sort+dedup pass. Heap pushes may
+/// then happen in discovery order rather than ascending candidate order —
+/// harmless, because the heap's pop sequence depends only on the *set* of
+/// `(ratio, cand, gen)` entries (strict total order), never on push order,
+/// and per-candidate generation numbers count only that candidate's own
+/// pushes.
+pub(crate) fn touch(tstamp: &mut [u32], tepoch: u32, touched: &mut Vec<u32>, c: u32) {
+    if tstamp[c as usize] != tepoch {
+        tstamp[c as usize] = tepoch;
+        touched.push(c);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Exact incremental cheapest-insertion cache
 // ---------------------------------------------------------------------------
-
-/// Outcome of the O(1) per-candidate repair after a tour insertion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fixup {
-    /// Cached delta unchanged (its edge survived and neither new edge is
-    /// cheaper).
-    Unchanged,
-    /// Cached delta improved via one of the two new edges (ρ may grow —
-    /// the planner must refresh the candidate's heap entry).
-    Improved,
-    /// The cached argmin edge was the one the insertion removed; the
-    /// candidate needs a full rescan before its next evaluation.
-    Invalidated,
-}
 
 /// Cached cheapest-insertion evaluations, maintained *exactly* across
 /// tour insertions.
@@ -365,99 +378,269 @@ impl InsertionCache {
         self.valid[c] = true;
     }
 
-    /// Repairs entry `c` after `p` was inserted at position `ins_pos`;
-    /// `tour` is the tour *after* the insertion. O(1).
-    pub fn apply_insertion(
+    /// Repairs, in O(1) each, the entry of every candidate `c` with
+    /// `live(c)` after a point was inserted at tour position `ins_pos`.
+    /// `d = [d_a, d_p, d_b]` are candidate-indexed distance columns to
+    /// the predecessor `a`, the inserted point `p` and the successor `b`;
+    /// `e = [e_ap, e_pb]` are the two new tour edges. Per entry: a
+    /// cached argmin edge that the insertion removed invalidates it
+    /// (listed in `invalidated`; it needs a rescan before its next read),
+    /// an edge after the insertion shifts by one, and the two new edges
+    /// are tried in order as strict improvements (listed in `improved`).
+    /// Both lists come out ascending; the return value is the number of
+    /// live entries. The in-module repair property locks the result to a
+    /// fresh `cheapest_insertion_point` scan.
+    pub fn repair_insertion(
         &mut self,
-        c: usize,
-        cand_pos: Point2,
-        tour: &[Point2],
+        d: [&[f64]; 3],
+        e: [f64; 2],
         ins_pos: usize,
-    ) -> Fixup {
-        if !self.valid[c] {
-            return Fixup::Invalidated;
+        live: impl Fn(usize) -> bool,
+        improved: &mut Vec<u32>,
+        invalidated: &mut Vec<u32>,
+    ) -> u64 {
+        let m = self.delta.len();
+        let [d_a, d_p, d_b] = d.map(|col| &col[..m]);
+        let [e_ap, e_pb] = e;
+        improved.clear();
+        invalidated.clear();
+        let mut repaired = 0u64;
+        for c in 0..m {
+            if !live(c) {
+                continue;
+            }
+            repaired += 1;
+            let p = self.pos[c];
+            if !self.valid[c] || p == ins_pos {
+                self.valid[c] = false;
+                invalidated.push(c as u32);
+                continue;
+            }
+            let old = self.delta[c];
+            let delta_a = d_a[c] + d_p[c] - e_ap;
+            let (nd, np) = if delta_a < old {
+                (delta_a, ins_pos)
+            } else {
+                (old, p + (p > ins_pos) as usize)
+            };
+            let delta_b = d_p[c] + d_b[c] - e_pb;
+            let (nd, np) = if delta_b < nd {
+                (delta_b, ins_pos + 1)
+            } else {
+                (nd, np)
+            };
+            self.delta[c] = nd;
+            self.pos[c] = np;
+            if nd < old {
+                improved.push(c as u32);
+            }
         }
-        if self.pos[c] == ins_pos {
-            self.valid[c] = false;
-            return Fixup::Invalidated;
-        }
-        if self.pos[c] > ins_pos {
-            self.pos[c] += 1;
-        }
-        let n = tour.len();
-        let p = tour[ins_pos];
-        let a = tour[ins_pos - 1];
-        let b = tour[(ins_pos + 1) % n];
-        let mut out = Fixup::Unchanged;
-        let delta_a = a.distance(cand_pos) + cand_pos.distance(p) - a.distance(p);
-        if delta_a < self.delta[c] {
-            self.delta[c] = delta_a;
-            self.pos[c] = ins_pos;
-            out = Fixup::Improved;
-        }
-        let delta_b = p.distance(cand_pos) + cand_pos.distance(b) - p.distance(b);
-        if delta_b < self.delta[c] {
-            self.delta[c] = delta_b;
-            self.pos[c] = ins_pos + 1;
-            out = Fixup::Improved;
-        }
-        out
-    }
-
-    /// Column-based twin of [`InsertionCache::apply_insertion`]: identical
-    /// decision sequence (same comparisons on the same values in the same
-    /// order), with the five distances supplied by the caller instead of
-    /// recomputed per candidate. Algorithm 2's lazy engine batch-computes
-    /// the three candidate→tour-point columns once per commit
-    /// (`uavdc_graph::incremental::distances_to_point`) and repairs every
-    /// active candidate from them; `tests/lazy_equivalence.rs` and the
-    /// in-module repair property keep the two variants locked together.
-    pub fn apply_insertion_cols(&mut self, c: usize, d: RepairDists, ins_pos: usize) -> Fixup {
-        if !self.valid[c] {
-            return Fixup::Invalidated;
-        }
-        if self.pos[c] == ins_pos {
-            self.valid[c] = false;
-            return Fixup::Invalidated;
-        }
-        if self.pos[c] > ins_pos {
-            self.pos[c] += 1;
-        }
-        let mut out = Fixup::Unchanged;
-        let delta_a = d.d_a + d.d_p - d.e_ap;
-        if delta_a < self.delta[c] {
-            self.delta[c] = delta_a;
-            self.pos[c] = ins_pos;
-            out = Fixup::Improved;
-        }
-        let delta_b = d.d_p + d.d_b - d.e_pb;
-        if delta_b < self.delta[c] {
-            self.delta[c] = delta_b;
-            self.pos[c] = ins_pos + 1;
-            out = Fixup::Improved;
-        }
-        out
+        repaired
     }
 }
 
-/// Distance bundle feeding [`InsertionCache::apply_insertion_cols`]: the
-/// candidate's distances to the three tour points around an insertion at
-/// `ins_pos` (predecessor `a`, inserted point `p`, successor `b`), plus
-/// the two new tour edges. Every field must be bit-identical to the
-/// `Point2::distance` value [`InsertionCache::apply_insertion`] would
-/// recompute.
-#[derive(Clone, Copy, Debug)]
-pub struct RepairDists {
-    /// `a.distance(candidate)`.
-    pub d_a: f64,
-    /// `p.distance(candidate)`.
-    pub d_p: f64,
-    /// `b.distance(candidate)`.
-    pub d_b: f64,
-    /// `a.distance(p)` — the first new tour edge.
-    pub e_ap: f64,
-    /// `p.distance(b)` — the second new tour edge.
-    pub e_pb: f64,
+// ---------------------------------------------------------------------------
+// Banked tour geometry for the lazy insertion loops
+// ---------------------------------------------------------------------------
+
+/// The lazy engines' shared accelerator for Algorithms 2 and 3, built in
+/// the planners' setup phase and then updated only where the tour
+/// changes.
+///
+/// Input-derived part (a pure function of scenario and candidates): the
+/// inverted device → candidate index, candidate coordinate arrays, the
+/// flattened coverage CSR with device volumes and full hover times
+/// preresolved, and the candidates' distance column to the depot.
+///
+/// Loop part: an [`IncrementalTour`] mirror of the growing tour (its
+/// cached edge lengths give the repair edges and the tour length) and a
+/// bank of candidate → tour-point distance columns. When a point enters
+/// the tour its column over every candidate is computed once
+/// (vectorised, [`distances_to_point`]) and kept; the per-insertion
+/// repairs read three columns, and rescans and canonical positions run
+/// [`cheapest_insertions_banked`] edge by edge over them. Every banked
+/// value is the `Point2::distance` of the same pair, so every scan over
+/// the bank is bit-identical to the point-form scan it replaces, and no
+/// distance the tour already has is ever recomputed.
+pub(crate) struct LazyPre {
+    /// Inverted device → candidate index.
+    pub(crate) index: DeviceIndex,
+    cand_xs: Vec<f64>,
+    cand_ys: Vec<f64>,
+    /// Coverage CSR: candidate `c` covers the devices in
+    /// `cov_dev[cov_off[c]..cov_off[c + 1]]`, in candidate order.
+    cov_off: Vec<u32>,
+    cov_dev: Vec<u32>,
+    /// Data volume per CSR slot.
+    cov_data: Vec<f64>,
+    /// Full hover time (volume / bandwidth) per CSR slot.
+    cov_rate: Vec<f64>,
+    /// Column bank: `cols[id][c]` = candidate `c`'s distance to the tour
+    /// point with [`IncrementalTour`] id `id` (id 0 is the depot).
+    cols: Vec<Vec<f64>>,
+    inc: IncrementalTour,
+    /// Scratch output of the banked scans.
+    scan: Vec<(f64, u32)>,
+}
+
+impl LazyPre {
+    /// Builds the input-derived part over a depot-only tour.
+    pub(crate) fn build(candidates: &CandidateSet, scenario: &Scenario) -> Self {
+        let m = candidates.len();
+        let cand_xs: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.x).collect();
+        let cand_ys: Vec<f64> = candidates.candidates.iter().map(|c| c.pos.y).collect();
+        let bandwidth = scenario.radio.bandwidth.value();
+        let mut cov_off: Vec<u32> = Vec::with_capacity(m + 1);
+        cov_off.push(0);
+        let mut cov_dev: Vec<u32> = Vec::new();
+        let mut cov_data: Vec<f64> = Vec::new();
+        let mut cov_rate: Vec<f64> = Vec::new();
+        for c in &candidates.candidates {
+            for &v in &c.covered {
+                let d = scenario.devices[v as usize].data.value();
+                cov_dev.push(v);
+                cov_data.push(d);
+                cov_rate.push(d / bandwidth);
+            }
+            cov_off.push(cov_dev.len() as u32);
+        }
+        let mut depot_col = Vec::new();
+        let depot = scenario.depot;
+        distances_to_point(&cand_xs, &cand_ys, depot.x, depot.y, &mut depot_col);
+        LazyPre {
+            index: DeviceIndex::build(candidates, scenario.num_devices()),
+            cand_xs,
+            cand_ys,
+            cov_off,
+            cov_dev,
+            cov_data,
+            cov_rate,
+            cols: vec![depot_col],
+            inc: IncrementalTour::new((depot.x, depot.y)),
+            scan: Vec::new(),
+        }
+    }
+
+    /// Devices covered by candidate `c`, in candidate order.
+    #[inline]
+    pub(crate) fn covered(&self, c: usize) -> &[u32] {
+        &self.cov_dev[self.cov_off[c] as usize..self.cov_off[c + 1] as usize]
+    }
+
+    /// Full-collection marginal of candidate `c` on the devices not yet
+    /// `collected`: `(volume, hover time)` (Eqs. 11–12). Branch-free over
+    /// the CSR and bit-identical to the plain filtered loop, because the
+    /// masked contributions are exact identities: volumes are
+    /// non-negative and both accumulators start at +0.0, so `+= d·0.0`
+    /// and `.max(rate·0.0)` leave them unchanged bit for bit.
+    pub(crate) fn marginal(&self, c: usize, collected: &[bool]) -> (f64, f64) {
+        let lo = self.cov_off[c] as usize;
+        let hi = self.cov_off[c + 1] as usize;
+        let mut vol = 0.0f64;
+        let mut t = 0.0f64;
+        for j in lo..hi {
+            let w = (!collected[self.cov_dev[j] as usize]) as u32 as f64;
+            vol += self.cov_data[j] * w;
+            t = t.max(self.cov_rate[j] * w);
+        }
+        (vol, t)
+    }
+
+    /// Candidate `c`'s cheapest-insertion delta into the depot-only tour
+    /// (`2·d`, bit-identical to `cheapest_insertion_point`).
+    #[inline]
+    pub(crate) fn depot_delta(&self, c: usize) -> f64 {
+        2.0 * self.cols[0][c]
+    }
+
+    /// Length of the current tour: the left-to-right sum of the cached
+    /// edge lengths, bit-identical to `closed_tour_length` over the same
+    /// points.
+    pub(crate) fn tour_len(&self) -> f64 {
+        self.inc.total_cost()
+    }
+
+    /// Incremental-tour patches applied so far.
+    pub(crate) fn tour_patches(&self) -> u64 {
+        self.inc.counters().tour_patches
+    }
+
+    /// Canonical cheapest-insertion position of candidate `c` into the
+    /// current tour, from the bank: the first strict argmin over edges in
+    /// tour order, exactly as `cheapest_insertion_point` finds it (the
+    /// insertion cache may name a different edge of equal delta).
+    pub(crate) fn insertion_pos(&mut self, c: usize) -> usize {
+        let (order, elen) = (self.inc.order(), self.inc.edge_costs());
+        cheapest_insertions_banked(&self.cols, order, elen, &[c as u32], &mut self.scan);
+        self.scan[0].1 as usize
+    }
+
+    /// Splices candidate `c` into the tour at position `pos`, banks its
+    /// distance column, and repairs the cached insertion delta of every
+    /// candidate `k` with `live(k)` from the banked columns of the new
+    /// point and its two neighbours plus the two new cached tour edges
+    /// (see [`InsertionCache::repair_insertion`]). Returns the number of
+    /// entries repaired; `improved` and `invalidated` list the changed
+    /// ones, and an invalidated candidate needs a [`LazyPre::rescan`]
+    /// before its delta is read again.
+    pub(crate) fn insert(
+        &mut self,
+        c: usize,
+        pos: usize,
+        ins: &mut InsertionCache,
+        live: impl Fn(usize) -> bool,
+        improved: &mut Vec<u32>,
+        invalidated: &mut Vec<u32>,
+    ) -> u64 {
+        let id = self.inc.append_point((self.cand_xs[c], self.cand_ys[c]));
+        self.inc.insert_id_at(id, pos);
+        debug_assert_eq!(id, self.cols.len());
+        let mut col = Vec::new();
+        distances_to_point(
+            &self.cand_xs,
+            &self.cand_ys,
+            self.cand_xs[c],
+            self.cand_ys[c],
+            &mut col,
+        );
+        self.cols.push(col);
+        let order = self.inc.order();
+        let cols = [order[pos - 1], id, order[(pos + 1) % order.len()]].map(|k| &self.cols[k][..]);
+        let elen = self.inc.edge_costs();
+        ins.repair_insertion(
+            cols,
+            [elen[pos - 1], elen[pos]],
+            pos,
+            live,
+            improved,
+            invalidated,
+        )
+    }
+
+    /// Recomputes the cheapest-insertion delta of every candidate in
+    /// `cands` from the bank (pure table arithmetic), stores it in
+    /// `ins`, and reports `(candidate, delta)` to `done` in `cands`
+    /// order.
+    pub(crate) fn rescan(
+        &mut self,
+        ins: &mut InsertionCache,
+        cands: &[u32],
+        mut done: impl FnMut(u32, f64),
+    ) {
+        let (order, elen) = (self.inc.order(), self.inc.edge_costs());
+        cheapest_insertions_banked(&self.cols, order, elen, cands, &mut self.scan);
+        for (&cu, &(delta, p)) in cands.iter().zip(&self.scan) {
+            ins.set(cu as usize, delta, p as usize);
+            done(cu, delta);
+        }
+    }
+
+    /// 2-opt compaction of the mirrored tour over its cached distances;
+    /// returns the position permutation when the tour changed (see
+    /// [`IncrementalTour::two_opt_compact`]).
+    pub(crate) fn compact(&mut self) -> Option<Vec<usize>> {
+        self.inc.two_opt_compact()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +707,11 @@ pub enum Probe {
     Infeasible,
 }
 
+/// Pops without a feasible candidate after which a selection checks, in
+/// one linear pass, whether anything left in the heap is feasible at all
+/// (see `LazyHeap::drain_if_infeasible`).
+const DRAIN_CHECK_AFTER: usize = 32;
+
 /// Generation-stamped lazy max-heap over cached candidate ratios.
 ///
 /// Every push stamps the candidate's current generation; entries whose
@@ -588,6 +776,42 @@ impl LazyHeap {
         self.heap = BinaryHeap::from(live);
     }
 
+    /// Retires every entry at once when none of them is feasible, and
+    /// reports whether it did. Popping them one by one would then discard
+    /// each superseded or deactivated entry, park each live one, count
+    /// every entry as a pop and find nothing to select; this leaves the
+    /// same parked set, the same count and an empty heap in one linear
+    /// pass instead of a heap-ordered one. `probe` and `active` are pure
+    /// within a selection, so a failed check changes nothing. Selection
+    /// runs it once its cohort has stayed empty for [`DRAIN_CHECK_AFTER`]
+    /// pops — which is how the loops' last selection, facing a heap of
+    /// superseded entries and an exhausted battery, usually looks.
+    fn drain_if_infeasible(
+        &mut self,
+        active: &mut impl FnMut(usize) -> bool,
+        probe: &mut impl FnMut(usize) -> Probe,
+        pops: &mut u64,
+    ) -> bool {
+        let live = |e: u128, gen: &[u32], active: &mut dyn FnMut(usize) -> bool| {
+            let c = entry_cand(e) as usize;
+            entry_gen(e) == gen[c] && active(c)
+        };
+        for &e in self.heap.iter() {
+            if live(e, &self.gen, active)
+                && matches!(probe(entry_cand(e) as usize), Probe::Feasible(_))
+            {
+                return false;
+            }
+        }
+        *pops += self.heap.len() as u64;
+        for e in std::mem::take(&mut self.heap).into_vec() {
+            if live(e, &self.gen, active) {
+                self.parked.push(e);
+            }
+        }
+        true
+    }
+
     /// Publishes candidate `c`'s current cached ratio, superseding any
     /// previous entry for `c`.
     pub fn push(&mut self, c: usize, ratio: f64) {
@@ -628,10 +852,18 @@ impl LazyHeap {
         // other; kept sorted implicitly by collecting then folding.
         let mut cohort: Vec<(f64, u32, u32)> = Vec::new();
         let mut cohort_min = f64::INFINITY;
+        let mut misses = 0usize;
         while let Some(&top) = self.heap.peek() {
             if !cohort.is_empty() && entry_ratio(top) < cohort_min - RATIO_BAND {
                 break;
             }
+            if cohort.is_empty()
+                && misses == DRAIN_CHECK_AFTER
+                && self.drain_if_infeasible(&mut active, &mut probe, pops)
+            {
+                return None;
+            }
+            misses += cohort.is_empty() as usize;
             // lint:allow(panic-site): peek above proves the heap is non-empty
             let entry = self.heap.pop().expect("heap entry vanished after peek");
             *pops += 1;
@@ -762,6 +994,7 @@ impl PlanStats {
 mod tests {
     use super::*;
     use crate::tourutil::cheapest_insertion_point;
+    use uavdc_geom::Point2;
     use uavdc_net::units::Meters;
 
     #[test]
@@ -853,46 +1086,60 @@ mod tests {
     #[test]
     fn insertion_cache_repair_matches_full_rescan() {
         // Deterministic pseudo-random points; after every insertion the
-        // repaired cache must match a fresh cheapest_insertion_point.
+        // batch repair (plus a rescan of invalidated entries) must match
+        // a fresh cheapest_insertion_point bit for bit. Every fifth
+        // candidate is left out of the repair and must come through
+        // untouched.
         let cands: Vec<Point2> = (0..40)
             .map(|i| Point2::new(((i * 37) % 101) as f64, ((i * 53) % 97) as f64))
             .collect();
         let inserts: Vec<Point2> = (0..12)
             .map(|i| Point2::new(((i * 61 + 13) % 89) as f64, ((i * 29 + 7) % 83) as f64))
             .collect();
+        let live = |c: usize| !c.is_multiple_of(5);
         let mut tour = vec![Point2::new(50.0, 50.0)];
         let mut cache = InsertionCache::new(cands.len());
         for (c, &p) in cands.iter().enumerate() {
             let (d, pos) = cheapest_insertion_point(&tour, p);
             cache.set(c, d, pos);
         }
-        let mut cols = InsertionCache::new(cands.len());
-        for (c, &p) in cands.iter().enumerate() {
-            let (d, pos) = cheapest_insertion_point(&tour, p);
-            cols.set(c, d, pos);
-        }
+        let (mut improved, mut invalidated) = (Vec::new(), Vec::new());
+        let (mut n_imp, mut n_inv) = (0, 0);
         for &p in &inserts {
             let (_, ins_pos) = cheapest_insertion_point(&tour, p);
             tour.insert(ins_pos, p);
             let a = tour[ins_pos - 1];
             let b = tour[(ins_pos + 1) % tour.len()];
+            let col = |q: Point2| -> Vec<f64> { cands.iter().map(|&c| q.distance(c)).collect() };
+            let (ca, cp, cb) = (col(a), col(p), col(b));
+            let before: Vec<_> = (0..cands.len()).map(|c| cache.get(c)).collect();
+            let repaired = cache.repair_insertion(
+                [&ca, &cp, &cb],
+                [a.distance(p), p.distance(b)],
+                ins_pos,
+                live,
+                &mut improved,
+                &mut invalidated,
+            );
+            assert_eq!(
+                repaired,
+                (0..cands.len()).filter(|&c| live(c)).count() as u64
+            );
+            assert!(improved.windows(2).all(|w| w[0] < w[1]));
+            assert!(invalidated.windows(2).all(|w| w[0] < w[1]));
+            n_imp += improved.len();
+            n_inv += invalidated.len();
+            for &c in &invalidated {
+                let c = c as usize;
+                assert_eq!(cache.get(c), None);
+                let (d, pos) = cheapest_insertion_point(&tour, cands[c]);
+                cache.set(c, d, pos);
+            }
             for (c, &cp) in cands.iter().enumerate() {
-                let d = RepairDists {
-                    d_a: a.distance(cp),
-                    d_p: p.distance(cp),
-                    d_b: b.distance(cp),
-                    e_ap: a.distance(p),
-                    e_pb: p.distance(b),
-                };
-                let row_fix = cache.apply_insertion(c, cp, &tour, ins_pos);
-                // The column twin must take the exact same decisions.
-                assert_eq!(cols.apply_insertion_cols(c, d, ins_pos), row_fix);
-                if row_fix == Fixup::Invalidated {
-                    let (d, pos) = cheapest_insertion_point(&tour, cp);
-                    cache.set(c, d, pos);
-                    cols.set(c, d, pos);
+                if !live(c) {
+                    assert_eq!(cache.get(c), before[c], "dead candidate {c} changed");
+                    continue;
                 }
-                assert_eq!(cache.get(c), cols.get(c), "column repair diverged at {c}");
                 let (want, _) = cheapest_insertion_point(&tour, cp);
                 let (got, got_pos) = cache.get(c).unwrap();
                 assert_eq!(
@@ -900,9 +1147,99 @@ mod tests {
                     want.to_bits(),
                     "candidate {c} delta diverged"
                 );
+                // A repaired (not rescanned) entry is reported improved
+                // exactly when its delta fell.
+                if !invalidated.contains(&(c as u32)) {
+                    let was = before[c].map(|(d, _)| d);
+                    let in_improved = improved.contains(&(c as u32));
+                    assert_eq!(in_improved, was.is_some_and(|d| got < d), "candidate {c}");
+                }
                 // The cached position must name a real edge achieving
                 // the cached delta (not necessarily the canonical one).
-                assert!(got_pos >= 1 && got_pos <= tour.len());
+                let n = tour.len();
+                let (ea, eb) = (tour[got_pos - 1], tour[got_pos % n]);
+                let at = ea.distance(cp) + cp.distance(eb) - ea.distance(eb);
+                assert_eq!(at.to_bits(), got.to_bits(), "candidate {c} edge");
+            }
+        }
+        // The sequence exercises both changed outcomes.
+        assert!(
+            n_imp > 0 && n_inv > 0,
+            "improved {n_imp}, invalidated {n_inv}"
+        );
+    }
+
+    #[test]
+    fn banked_geometry_matches_point_scans() {
+        // LazyPre's bank and edge cache must reproduce the point-form
+        // scans: canonical insertion positions, tour lengths and
+        // repaired deltas, bit for bit, across a growing tour.
+        use crate::candidates::Candidate;
+        use crate::tourutil::closed_tour_length;
+        use uavdc_geom::Aabb;
+        use uavdc_net::{IotDevice, RadioModel, UavSpec};
+        let pts: Vec<Point2> = (0..30)
+            .map(|i| Point2::new(((i * 37) % 101) as f64 + 0.5, ((i * 53) % 97) as f64))
+            .collect();
+        let cs = CandidateSet {
+            delta: 1.0,
+            coverage_radius: Meters(1.0),
+            candidates: pts
+                .iter()
+                .map(|&pos| Candidate {
+                    pos,
+                    covered: Vec::new(),
+                })
+                .collect(),
+        };
+        let scenario = Scenario {
+            region: Aabb::square(110.0),
+            devices: vec![IotDevice {
+                pos: Point2::new(1.0, 1.0),
+                data: uavdc_net::units::MegaBytes(1.0),
+            }],
+            depot: Point2::new(50.0, 50.0),
+            radio: RadioModel::new(Meters(1.0), uavdc_net::units::MegaBytesPerSecond(1.0)),
+            uav: UavSpec::paper_default(),
+        };
+        let mut pre = LazyPre::build(&cs, &scenario);
+        let mut tour = vec![scenario.depot];
+        let mut ins = InsertionCache::new(pts.len());
+        for (c, &p) in pts.iter().enumerate() {
+            assert_eq!(
+                pre.depot_delta(c).to_bits(),
+                cheapest_insertion_point(&tour, p).0.to_bits()
+            );
+            ins.set(c, pre.depot_delta(c), 1);
+        }
+        let mut on_tour = vec![false; pts.len()];
+        let (mut improved, mut rescan) = (Vec::new(), Vec::new());
+        // Twenty distinct candidates (7 and 30 are coprime), near and
+        // far points mixed.
+        for step in 0..20 {
+            let c = (step * 7) % pts.len();
+            let pos = pre.insertion_pos(c);
+            assert_eq!(pos, cheapest_insertion_point(&tour, pts[c]).1);
+            on_tour[c] = true;
+            tour.insert(pos, pts[c]);
+            pre.insert(
+                c,
+                pos,
+                &mut ins,
+                |k| !on_tour[k],
+                &mut improved,
+                &mut rescan,
+            );
+            pre.rescan(&mut ins, &rescan, |_, _| {});
+            assert_eq!(
+                pre.tour_len().to_bits(),
+                closed_tour_length(&tour).to_bits()
+            );
+            for (k, &p) in pts.iter().enumerate() {
+                if !on_tour[k] {
+                    let want = cheapest_insertion_point(&tour, p).0;
+                    assert_eq!(ins.get(k).unwrap().0.to_bits(), want.to_bits());
+                }
             }
         }
     }
@@ -979,6 +1316,35 @@ mod tests {
         // The decayed entry remains selectable at its true value.
         let got = h.select(|_| true, |_| Probe::Feasible(2.0), &mut pops);
         assert_eq!(got, Some((0, 2.0)));
+    }
+
+    #[test]
+    fn lazy_heap_drain_matches_popping_one_by_one() {
+        // Many superseded entries on top, the live ones (the newest, with
+        // the lowest ratios) at the bottom, none feasible: past
+        // DRAIN_CHECK_AFTER pops the selection retires the rest at once.
+        // Every entry counts as a pop, exactly the live ones park, and
+        // they come back on unpark like singly popped ones would.
+        let m = 8;
+        let mut h = LazyHeap::new(m);
+        let mut pushed = 0u64;
+        for round in (0..20).rev() {
+            for c in 0..m {
+                h.push(c, (round * m + c) as f64);
+                pushed += 1;
+            }
+        }
+        let deactivated = 5;
+        let mut pops = 0;
+        let got = h.select(|c| c != deactivated, |_| Probe::Infeasible, &mut pops);
+        assert_eq!(got, None);
+        assert_eq!(pops, pushed, "every entry is retired once");
+        assert_eq!(h.parked_len(), m - 1, "live entries park");
+        h.unpark_all();
+        let mut pops = 0;
+        let got = h.select(|_| true, |c| Probe::Feasible(c as f64), &mut pops);
+        assert_eq!(got, Some((m - 1, (m - 1) as f64)));
+        assert_eq!(pops, 1, "the live entries are back");
     }
 
     #[test]

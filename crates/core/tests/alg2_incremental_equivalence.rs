@@ -16,28 +16,14 @@
 //! seeded cases (and to enable the paper-invariant exit hooks); the
 //! default is a quick pass.
 
+mod common;
+
+use common::{cases, scenario};
 use proptest::prelude::*;
 use uavdc_core::{
     Alg2Config, Alg2Planner, CandidateSet, CollectionPlan, EngineMode, PlanStats, TourMode,
 };
-use uavdc_net::generator::{uniform, ScenarioParams};
-use uavdc_net::units::Joules;
 use uavdc_net::Scenario;
-
-fn cases(quick: u32) -> u32 {
-    if cfg!(feature = "validate") {
-        1100
-    } else {
-        quick
-    }
-}
-
-fn scenario(seed: u64, scale: f64, capacity_kj: f64) -> Scenario {
-    let params = ScenarioParams::default()
-        .scaled(scale)
-        .with_capacity(Joules(capacity_kj * 1000.0));
-    uniform(&params, seed)
-}
 
 /// Plans with both engines (over `prepared` when given, else over the
 /// cold path's own candidate set) and asserts full-plan and tour-counter

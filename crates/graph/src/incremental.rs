@@ -37,10 +37,10 @@
 //! same stop set. `tests/incremental_props.rs` drives randomized
 //! insert/remove sequences through both paths and asserts exactly that.
 //!
-//! The module also hosts the branch-predictable batch kernels the lazy
-//! engine of `uavdc-core::alg2` uses to make its (operation-count-frozen)
-//! rescans cheap: [`distances_to_point`], [`cheapest_insertion_cached`]
-//! and [`cheapest_insertion_cached4`]. All are specified — and
+//! The module also hosts the batch kernels the lazy engines of
+//! `uavdc-core` (Algorithms 2 and 3) use to make their
+//! (operation-count-frozen) rescans cheap: [`distances_to_point`] and
+//! [`cheapest_insertions_banked`]. Both are specified — and
 //! property-tested — to be bit-identical per lane to their scalar
 //! `Point2` counterparts.
 
@@ -457,82 +457,56 @@ pub fn distances_to_point(xs: &[f64], ys: &[f64], px: f64, py: f64, out: &mut Ve
     }
 }
 
-/// Cheapest-insertion scan of one satellite against a closed tour using
-/// *cached* satellite→tour-point distances instead of recomputing them.
+/// Cheapest-insertion scans of a batch of satellites against a closed
+/// tour, reading *banked* satellite→tour-point distances instead of
+/// recomputing them.
 ///
-/// `row[id]` must hold the satellite's distance to the tour point with
-/// stable id `id` (as produced by [`distances_to_point`] when that point
-/// entered the tour), `order` the tour's visiting order as point ids, and
-/// `edge_costs` the cached edge costs (`edge_costs[i]` spans positions
-/// `i → (i+1) % n`). Because the cached distances are bit-identical to a
-/// fresh recomputation, the result `(delta, pos)` is specified to be
-/// bit-identical to the scalar first-strict-argmin edge scan
-/// (`cheapest_insertion_point` in `uavdc-core`): same
-/// `(d(a,p) + d(p,b)) - d(a,b)` association, same strict-`<` update, same
-/// position numbering.
-pub fn cheapest_insertion_cached(row: &[f64], order: &[usize], edge_costs: &[f64]) -> (f64, u32) {
+/// `cols[id][s]` must hold satellite `s`'s distance to the tour point
+/// with stable id `id` (the [`distances_to_point`] batch computed when
+/// that point entered the tour), `order` the tour's visiting order as
+/// point ids, and `edge_costs` the cached edge costs (`edge_costs[i]`
+/// spans positions `i → (i+1) % n`). For each satellite `batch[k]`,
+/// `out[k]` (cleared and resized to match) receives `(delta, pos)`,
+/// specified to be bit-identical to the scalar first-strict-argmin edge
+/// scan (`cheapest_insertion_point` in `uavdc-core`): same
+/// `(d(a,p) + d(p,b)) - d(a,b)` association, same strict-`<` update,
+/// same position numbering. The scan runs edge by edge over the whole
+/// batch, so each step reads two banked columns (contiguous, and small
+/// enough to stay in cache) and the batch's running minima, with no
+/// per-satellite row to assemble first.
+pub fn cheapest_insertions_banked(
+    cols: &[Vec<f64>],
+    order: &[usize],
+    edge_costs: &[f64],
+    batch: &[u32],
+    out: &mut Vec<(f64, u32)>,
+) {
+    out.clear();
     let n = order.len();
-    if n == 0 {
-        return (0.0, 1);
-    }
-    if n == 1 {
-        return (2.0 * row[order[0]], 1);
+    if n <= 1 {
+        out.extend(batch.iter().map(|&s| match n {
+            0 => (0.0, 1),
+            _ => (2.0 * cols[order[0]][s as usize], 1),
+        }));
+        return;
     }
     debug_assert_eq!(edge_costs.len(), n);
-    let mut best = f64::INFINITY;
-    let mut pos = 1u32;
-    let mut pv = row[order[0]];
-    for (i, &e) in edge_costs.iter().enumerate() {
-        let nx = row[order[(i + 1) % n]];
-        let delta = pv + nx - e;
-        if delta < best {
-            best = delta;
-            pos = (i + 1) as u32;
+    out.resize(batch.len(), (f64::INFINITY, 1));
+    // Edge `i` runs from `order[i]` to `order[(i + 1) % n]`.
+    let ends = order[1..].iter().chain(&order[..1]);
+    let mut pv = &cols[order[0]];
+    for (i, (&e, &end)) in edge_costs.iter().zip(ends).enumerate() {
+        let nx = &cols[end];
+        let p = (i + 1) as u32;
+        for (o, &s) in out.iter_mut().zip(batch) {
+            let s = s as usize;
+            let delta = pv[s] + nx[s] - e;
+            if delta < o.0 {
+                *o = (delta, p);
+            }
         }
         pv = nx;
     }
-    (best, pos)
-}
-
-/// Four-lane twin of [`cheapest_insertion_cached`]: scans four banked
-/// rows against the same tour in lockstep. The lanes are fully
-/// independent and each performs exactly the scalar scan's arithmetic,
-/// comparisons and first-strict-argmin update, so every returned pair is
-/// specified to be bit-identical to a scalar call on that row. The
-/// interleaving exists purely to pipeline the compare chains: one
-/// scalar scan is latency-bound on its `cmp → select` dependency, and
-/// four independent chains fill those stalls (this is what makes a
-/// rescan *batch* cheap).
-pub fn cheapest_insertion_cached4(
-    rows: [&[f64]; 4],
-    order: &[usize],
-    edge_costs: &[f64],
-) -> [(f64, u32); 4] {
-    let n = order.len();
-    if n <= 1 {
-        return [0, 1, 2, 3].map(|k| cheapest_insertion_cached(rows[k], order, edge_costs));
-    }
-    debug_assert_eq!(edge_costs.len(), n);
-    let mut best = [f64::INFINITY; 4];
-    let mut pos = [1u32; 4];
-    let mut pv = rows.map(|r| r[order[0]]);
-    for (i, &e) in edge_costs.iter().enumerate() {
-        let o = order[(i + 1) % n];
-        for k in 0..4 {
-            let nx = rows[k][o];
-            let delta = pv[k] + nx - e;
-            let hit = delta < best[k];
-            best[k] = if hit { delta } else { best[k] };
-            pos[k] = if hit { (i + 1) as u32 } else { pos[k] };
-            pv[k] = nx;
-        }
-    }
-    [
-        (best[0], pos[0]),
-        (best[1], pos[1]),
-        (best[2], pos[2]),
-        (best[3], pos[3]),
-    ]
 }
 
 #[cfg(test)]

@@ -17,9 +17,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use uavdc_geom::Point2;
 use uavdc_graph::christofides::christofides;
-use uavdc_graph::incremental::{
-    cheapest_insertion_cached, cheapest_insertion_cached4, distances_to_point, IncrementalTour,
-};
+use uavdc_graph::incremental::{cheapest_insertions_banked, distances_to_point, IncrementalTour};
 use uavdc_graph::DistMatrix;
 
 fn cases() -> u32 {
@@ -255,8 +253,9 @@ proptest! {
     }
 
     /// All insertion paths agree lane for lane and bit for bit: the
-    /// scalar recomputing reference, the cached scan, the 4-lane cached
-    /// scan, and the tour's own `cheapest_insertion_of`.
+    /// scalar recomputing reference, the banked batch scan (over the
+    /// whole batch and over single satellites), and the tour's own
+    /// `cheapest_insertion_of`.
     #[test]
     fn insertion_kernels_agree_bitwise(
         depot in qpoint(),
@@ -268,38 +267,38 @@ proptest! {
             t.insert(p);
         }
         let pts = pts_of(&t);
-        // Stop coordinates indexed by stable id (ids are contiguous here).
-        let nid = t.len();
-        let xs: Vec<f64> = (0..nid).map(|id| t.point(id).0).collect();
-        let ys: Vec<f64> = (0..nid).map(|id| t.point(id).1).collect();
+        // Banked columns: every satellite's distance to stop id `id`
+        // (ids are contiguous here).
+        let sx: Vec<f64> = sats.iter().map(|s| s.0).collect();
+        let sy: Vec<f64> = sats.iter().map(|s| s.1).collect();
+        let cols: Vec<Vec<f64>> = (0..t.len())
+            .map(|id| {
+                let (x, y) = t.point(id);
+                let mut col = Vec::new();
+                distances_to_point(&sx, &sy, x, y, &mut col);
+                col
+            })
+            .collect();
 
-        // Banked rows: cached satellite -> stop-id distances.
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(sats.len());
-        for &(sx, sy) in &sats {
-            let mut row = Vec::new();
-            distances_to_point(&xs, &ys, sx, sy, &mut row);
-            rows.push(row);
+        // The whole batch, in descending order.
+        let m = sats.len() as u32;
+        let batch: Vec<u32> = (0..m).rev().collect();
+        let mut out = Vec::new();
+        cheapest_insertions_banked(&cols, t.order(), t.edge_costs(), &batch, &mut out);
+        prop_assert_eq!(out.len(), batch.len());
+        let mut scalar = vec![(0.0f64, 0u32); sats.len()];
+        for (&j, &(got_d, got_pos)) in batch.iter().zip(&out) {
+            let j = j as usize;
+            let (want_d, want_pos) = reference_cheapest(&pts, Point2::new(sx[j], sy[j]));
+            prop_assert_eq!(got_d.to_bits(), want_d.to_bits(), "banked delta, sat {}", j);
+            prop_assert_eq!(got_pos as usize, want_pos, "banked pos, sat {}", j);
+            scalar[j] = (got_d, got_pos);
         }
-
-        let mut scalar = Vec::with_capacity(sats.len());
-        for (j, &(sx, sy)) in sats.iter().enumerate() {
-            let (want_d, want_pos) = reference_cheapest(&pts, Point2::new(sx, sy));
-            let (got_d, got_pos) = cheapest_insertion_cached(&rows[j], t.order(), t.edge_costs());
-            prop_assert_eq!(got_d.to_bits(), want_d.to_bits(), "cached delta, sat {}", j);
-            prop_assert_eq!(got_pos as usize, want_pos, "cached pos, sat {}", j);
-            scalar.push((got_d, got_pos));
-        }
-        for (c, chunk) in rows.chunks_exact(4).enumerate() {
-            let got4 = cheapest_insertion_cached4(
-                [&chunk[0], &chunk[1], &chunk[2], &chunk[3]],
-                t.order(),
-                t.edge_costs(),
-            );
-            for k in 0..4 {
-                let (want_d, want_pos) = scalar[c * 4 + k];
-                prop_assert_eq!(got4[k].0.to_bits(), want_d.to_bits(), "4-lane delta, lane {}", k);
-                prop_assert_eq!(got4[k].1, want_pos, "4-lane pos, lane {}", k);
-            }
+        for j in 0..m {
+            let mut one = Vec::new();
+            cheapest_insertions_banked(&cols, t.order(), t.edge_costs(), &[j], &mut one);
+            prop_assert_eq!(one[0].0.to_bits(), scalar[j as usize].0.to_bits(), "single delta, sat {}", j);
+            prop_assert_eq!(one[0].1, scalar[j as usize].1, "single pos, sat {}", j);
         }
         // The tour's own cached scan on an appended (not yet spliced) id.
         let (sx, sy) = sats[0];
